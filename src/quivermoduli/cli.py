@@ -31,17 +31,10 @@ from .core import (
     symmetric_on_kernel,
 )
 from .deform import generic_deformation, is_generic_deformation
-from .errors import InternalCheckError, NegativeArrowCountError, PreconditionError
+from .errors import InternalCheckError, PreconditionError
 from .halfq import HalfLaurent, RatFunc
 from .invariants import betti_coprime, dt_invariants, ic_poincare_dt, ic_poincare_resolution, p_poly
-from .strata import (
-    certify_smallness,
-    codim_lower_bound,
-    fiber_dim_bound,
-    local_quiver,
-    luna_types,
-    smallness_margin,
-)
+from .strata import certify_smallness, stratum_records
 
 COMMANDS = ("info", "deform", "pd", "betti", "dt", "ic", "strata", "smallness", "examples")
 
@@ -63,6 +56,11 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int; neither is a count or a weight
+    return type(x) is int
+
+
 def parse_problem_json(text: str) -> ProblemSpec:
     data = json.loads(text)
     _require(isinstance(data, dict), "problem description must be a JSON object")
@@ -77,7 +75,7 @@ def parse_problem_json(text: str) -> ProblemSpec:
     n = len(arrows)
     _require(all(len(row) == n for row in arrows), "arrows must be a square matrix")
     _require(
-        all(isinstance(a, int) and a >= 0 for row in arrows for a in row),
+        all(_is_int(a) and a >= 0 for row in arrows for a in row),
         "arrow multiplicities must be nonnegative integers",
     )
     vertices = data.get("vertices")
@@ -89,12 +87,12 @@ def parse_problem_json(text: str) -> ProblemSpec:
     )
     dim = data["dimension"]
     _require(
-        isinstance(dim, list) and len(dim) == n and all(isinstance(c, int) and c >= 0 for c in dim),
+        isinstance(dim, list) and len(dim) == n and all(_is_int(c) and c >= 0 for c in dim),
         "dimension must be a nonnegative integer vector matching the quiver",
     )
     stab = data["stability"]
     _require(
-        isinstance(stab, list) and len(stab) == n and all(isinstance(w, int) for w in stab),
+        isinstance(stab, list) and len(stab) == n and all(_is_int(w) for w in stab),
         "stability must be an integer vector matching the quiver",
     )
     deformed = data.get("deformed_stability")
@@ -102,7 +100,7 @@ def parse_problem_json(text: str) -> ProblemSpec:
         _require(
             isinstance(deformed, list)
             and len(deformed) == n
-            and all(isinstance(w, int) for w in deformed),
+            and all(_is_int(w) for w in deformed),
             "deformed_stability must be an integer vector matching the quiver",
         )
         deformed = Stability(tuple(deformed))
@@ -171,10 +169,7 @@ def poly_json(l: HalfLaurent) -> dict:
 
 
 def ratfunc_json(r: RatFunc) -> dict:
-    if r.shift >= 0:
-        num, den = r.num.shifted(r.shift), r.den
-    else:
-        num, den = r.num, r.den.shifted(-r.shift)
+    num, den = r.num_den()
     return {
         "num": {str(p): frac_str(c) for p, c in sorted(num.coeffs.items())},
         "den": {str(p): frac_str(c) for p, c in sorted(den.coeffs.items())},
@@ -182,12 +177,24 @@ def ratfunc_json(r: RatFunc) -> dict:
     }
 
 
-def _luna_type_json(xi) -> list:
-    return [[list(part.coords), mult] for part, mult in xi.parts]
-
-
-def _opt_frac(x) -> str | None:
-    return None if x is None else frac_str(x)
+def _record_json(rec) -> dict:
+    """One strata or smallness row: a StratumRecord's ten fields."""
+    return {
+        "type": [[list(part.coords), mult] for part, mult in rec.luna_type.parts],
+        "trivial": rec.luna_type.is_trivial,
+        "filtered": rec.filtered,
+        "reason": rec.reason,
+        "local_arrows": None
+        if rec.local_quiver is None
+        else [list(r) for r in rec.local_quiver.arrows],
+        "local_dim": None if rec.local_dim is None else list(rec.local_dim.coords),
+        "local_stability": None
+        if rec.local_stability is None
+        else list(rec.local_stability.weights),
+        "fiber_bound": None if rec.fiber_bound is None else frac_str(rec.fiber_bound),
+        "codim_bound": rec.codim_bound,
+        "margin": None if rec.margin is None else frac_str(rec.margin),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -282,43 +289,9 @@ def _ensure_deformed(problem: ProblemSpec, max_box: int):
 def cmd_strata(problem: ProblemSpec, max_box: int) -> dict:
     q, d = problem.quiver, problem.dim_vector
     theta_prime, derived = _ensure_deformed(problem, max_box)
-    rows = []
-    for xi in luna_types(q, d, problem.stability, max_box):
-        row = {
-            "type": _luna_type_json(xi),
-            "trivial": xi.is_trivial,
-            "codim_bound": codim_lower_bound(q, d, xi),
-            "local_arrows": None,
-            "local_dim": None,
-            "local_stability": None,
-            "fiber_bound": None,
-            "margin": None,
-            "filtered": False,
-            "reason": None,
-        }
-        bad = [p for p, _ in xi.parts if q.euler_form(p, p) > 1]
-        if bad:
-            row["filtered"] = True
-            row["reason"] = f"part {bad[0]} has negative expected stable moduli dimension"
-            rows.append(row)
-            continue
-        try:
-            lq, ld, ls = local_quiver(q, xi, theta_prime)
-            row["local_arrows"] = [list(r) for r in lq.arrows]
-            row["local_dim"] = list(ld.coords)
-            row["local_stability"] = list(ls.weights)
-        except NegativeArrowCountError as exc:
-            row["filtered"] = True
-            row["reason"] = str(exc)
-            rows.append(row)
-            continue
-        try:
-            row["fiber_bound"] = frac_str(fiber_dim_bound(q, xi))
-            row["margin"] = frac_str(smallness_margin(q, d, xi))
-        except PreconditionError as exc:
-            row["filtered"] = True
-            row["reason"] = str(exc)
-        rows.append(row)
+    records = stratum_records(q, d, problem.stability, theta_prime, max_box)
+    # strata words the negative-dimension reason without smallness's " (-k)" suffix
+    rows = [dict(_record_json(r), reason=r.reason and r.reason.partition(" (-")[0]) for r in records]
     return {
         "command": "strata",
         "deformed_stability": list(theta_prime.weights),
@@ -333,31 +306,11 @@ def cmd_smallness(problem: ProblemSpec, max_box: int) -> dict:
     report = certify_smallness(
         q, d, problem.stability, theta_prime, problem.assume_nonempty, max_box
     )
-    rows = []
-    for rec in report.records:
-        rows.append(
-            {
-                "type": _luna_type_json(rec.luna_type),
-                "trivial": rec.luna_type.is_trivial,
-                "filtered": rec.filtered,
-                "reason": rec.reason,
-                "local_arrows": None
-                if rec.local_quiver is None
-                else [list(r) for r in rec.local_quiver.arrows],
-                "local_dim": None if rec.local_dim is None else list(rec.local_dim.coords),
-                "local_stability": None
-                if rec.local_stability is None
-                else list(rec.local_stability.weights),
-                "fiber_bound": _opt_frac(rec.fiber_bound),
-                "codim_bound": rec.codim_bound,
-                "margin": _opt_frac(rec.margin),
-            }
-        )
     payload = {
         "command": "smallness",
         "verdict": report.verdict,
         "reasons": list(report.reasons),
-        "records": rows,
+        "records": [_record_json(rec) for rec in report.records],
         "assume_stable_nonempty": report.assume_stable_nonempty,
         "kernel_symmetric": report.kernel_symmetric,
         "deformation_ok": report.deformation_ok,

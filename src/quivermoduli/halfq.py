@@ -446,15 +446,18 @@ class RatFunc:
     def is_q_polynomial(self) -> bool:
         return self.is_laurent and self.as_laurent().is_q_polynomial()
 
+    def num_den(self) -> tuple[HalfLaurent, HalfLaurent]:
+        """Numerator and denominator polynomials, v^shift moved into one of them."""
+        if self.shift >= 0:
+            return self.num.shifted(self.shift), self.den
+        return self.num, self.den.shifted(-self.shift)
+
     def pretty(self) -> str:
         if self.is_zero:
             return "0"
         if self.is_laurent:
             return self.as_laurent().pretty()
-        if self.shift >= 0:
-            num, den = self.num.shifted(self.shift), self.den
-        else:
-            num, den = self.num, self.den.shifted(-self.shift)
+        num, den = self.num_den()
         return f"({num.pretty()})/({den.pretty()})"
 
     def __str__(self) -> str:

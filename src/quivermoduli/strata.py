@@ -226,7 +226,7 @@ def smallness_margin(q: Quiver, d: DimVector, xi: LunaType) -> Fraction:
 
 @dataclass(frozen=True)
 class StratumRecord:
-    """Per-type row of a smallness report."""
+    """Per-type row of the strata table and of a smallness report."""
 
     luna_type: LunaType
     filtered: bool
@@ -237,6 +237,50 @@ class StratumRecord:
     fiber_bound: Fraction | None
     codim_bound: int
     margin: Fraction | None
+
+
+def _stratum_record(
+    q: Quiver, d: DimVector, xi: LunaType, theta_prime: Stability
+) -> StratumRecord:
+    codim = codim_lower_bound(q, d, xi)
+    bad = [p for p, _ in xi.parts if q.euler_form(p, p) > 1]
+    if bad:
+        reason = (
+            f"part {bad[0]} has negative expected stable moduli dimension "
+            f"({1 - q.euler_form(bad[0], bad[0])})"
+        )
+        return StratumRecord(xi, True, reason, None, None, None, None, codim, None)
+    try:
+        lq, ld, ls = local_quiver(q, xi, theta_prime)
+    except NegativeArrowCountError as exc:
+        return StratumRecord(xi, True, str(exc), None, None, None, None, codim, None)
+    try:
+        fiber = fiber_dim_bound(q, xi)
+    except PreconditionError as exc:
+        return StratumRecord(xi, True, str(exc), lq, ld, ls, None, codim, None)
+    margin = smallness_margin(q, d, xi)
+    return StratumRecord(xi, False, None, lq, ld, ls, fiber, codim, margin)
+
+
+def stratum_records(
+    q: Quiver,
+    d: DimVector,
+    theta: Stability,
+    theta_prime: Stability,
+    max_box: int = DEFAULT_MAX_BOX,
+) -> tuple[StratumRecord, ...]:
+    """One record per decomposition type of d, in luna_types order.
+
+    Every type gets its codimension bound. A type is filtered, with the
+    reason recorded, when a part has negative expected stable moduli
+    dimension, when its local quiver would need a negative arrow count,
+    or when its local quiver is not symmetric (the local data is kept).
+    Every other type gets its local quiver, fibre bound and margin. No
+    hypothesis of certify_smallness is checked here.
+    """
+    return tuple(
+        _stratum_record(q, d, xi, theta_prime) for xi in luna_types(q, d, theta, max_box)
+    )
 
 
 @dataclass(frozen=True)
@@ -274,76 +318,40 @@ def certify_smallness(
     Hypotheses checked: the deformed stability passes the generic
     deformation test for the normalized stability, and the form is
     symmetric on the kernel of the normalized stability. If either fails
-    the verdict is NotApplicable. Otherwise all decomposition types are
-    enumerated; types whose local quiver needs negative arrow counts, or
-    with a part of negative expected stable moduli dimension, are filtered
-    with a recorded reason, and every surviving type gets its fibre bound,
-    codimension bound and margin. The enumeration is a superset of the
-    actually nonempty strata, so a Certified verdict is sound.
+    the verdict is NotApplicable. Otherwise the records come from
+    stratum_records; its non-symmetric filter never fires here, because
+    every part lies in the kernel where the form is symmetric. The
+    enumeration is a superset of the actually nonempty strata, so a
+    Certified verdict is sound.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
     tnorm = normalize_stability(theta, d)
-    reasons: list[str] = []
-    verdict_deform = is_generic_deformation(tnorm, theta_prime, d, max_box)
+    deformation_ok = is_generic_deformation(tnorm, theta_prime, d, max_box).passed
     kernel_sym = symmetric_on_kernel(q, tnorm)
-    if not verdict_deform.passed:
+    reasons: list[str] = []
+    if not deformation_ok:
         reasons.append("deformed stability is not a generic deformation")
     if not kernel_sym:
         reasons.append("form is not symmetric on the kernel of the stability")
+    records = () if reasons else stratum_records(q, d, theta, theta_prime, max_box)
+    offenders = [
+        f"type {rec.luna_type} has margin {rec.margin}"
+        for rec in records
+        if not rec.filtered
+        and (rec.margin > 0 or (rec.margin == 0 and not rec.luna_type.is_trivial))
+    ]
     if reasons:
-        return SmallnessReport(
-            verdict="NotApplicable",
-            reasons=tuple(reasons),
-            records=(),
-            assume_stable_nonempty=assume_stable_nonempty,
-            kernel_symmetric=kernel_sym,
-            deformation_ok=verdict_deform.passed,
-        )
-
-    records: list[StratumRecord] = []
-    offenders: list[str] = []
-    for xi in luna_types(q, d, theta, max_box):
-        codim = codim_lower_bound(q, d, xi)
-        bad = [p for p, _ in xi.parts if q.euler_form(p, p) > 1]
-        if bad:
-            reason = (
-                f"part {bad[0]} has negative expected stable moduli dimension "
-                f"({1 - q.euler_form(bad[0], bad[0])})"
-            )
-            records.append(
-                StratumRecord(xi, True, reason, None, None, None, None, codim, None)
-            )
-            continue
-        try:
-            lq, ld, ls = local_quiver(q, xi, theta_prime)
-        except NegativeArrowCountError as exc:
-            records.append(
-                StratumRecord(xi, True, str(exc), None, None, None, None, codim, None)
-            )
-            continue
-        fiber = fiber_dim_bound(q, xi)
-        margin = smallness_margin(q, d, xi)
-        records.append(
-            StratumRecord(xi, False, None, lq, ld, ls, fiber, codim, margin)
-        )
-        if margin > 0 or (margin == 0 and not xi.is_trivial):
-            offenders.append(f"type {xi} has margin {margin}")
-
-    if offenders:
-        return SmallnessReport(
-            verdict="NotCertified",
-            reasons=tuple(offenders),
-            records=tuple(records),
-            assume_stable_nonempty=assume_stable_nonempty,
-            kernel_symmetric=True,
-            deformation_ok=True,
-        )
+        verdict = "NotApplicable"
+    elif offenders:
+        verdict = "NotCertified"
+    else:
+        verdict = "Certified"
     return SmallnessReport(
-        verdict="Certified",
-        reasons=(),
-        records=tuple(records),
+        verdict=verdict,
+        reasons=tuple(reasons + offenders),
+        records=records,
         assume_stable_nonempty=assume_stable_nonempty,
-        kernel_symmetric=True,
-        deformation_ok=True,
+        kernel_symmetric=kernel_sym,
+        deformation_ok=deformation_ok,
     )

@@ -1,4 +1,8 @@
+import io
 import json
+import re
+
+import pytest
 
 from quivermoduli.cli import main
 
@@ -20,6 +24,11 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv + ["--json"])
     payload = json.loads(out) if out else None
     return code, payload, err
+
+
+def run_stdin_json(capsys, monkeypatch, argv, problem):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
+    return run_json(capsys, argv + ["-"])
 
 
 class TestExamplesAndInfo:
@@ -84,6 +93,77 @@ class TestExitCodes:
         code, _, err = run(capsys, ["betti", str(problem), "--max-box", "2"])
         assert code == 2
         assert "--max-box" in err
+
+
+class TestBooleanRejected:
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("arrows", [[0, True], [1, 0]], "arrow multiplicities"),
+            ("dimension", [1, True], "dimension"),
+            ("stability", [0, False], "stability"),
+            ("deformed_stability", [True, -1], "deformed_stability"),
+        ],
+    )
+    def test_boolean_is_not_an_integer(self, capsys, monkeypatch, field, value, message):
+        problem = {"arrows": [[0, 1], [1, 0]], "dimension": [1, 1], "stability": [0, 0]}
+        problem[field] = value
+        code, payload, err = run_stdin_json(capsys, monkeypatch, ["info"], problem)
+        assert code == 1 and payload is None
+        assert err.startswith(f"error: input: {message}")
+        assert err.count("\n") == 1
+
+
+class TestStrataRows:
+    @pytest.mark.parametrize("spec", ["kronecker_general:0,0", "levi_adjoint:3"])
+    def test_strata_rows_are_smallness_records(self, capsys, spec):
+        _, strata, _ = run_json(capsys, ["strata", "--example", spec])
+        _, smallness, _ = run_json(capsys, ["smallness", "--example", spec])
+        assert smallness["verdict"] == "Certified"
+        suffix = re.compile(r"(negative expected stable moduli dimension) \(-\d+\)$")
+        for rec in smallness["records"]:
+            if rec["reason"] is not None:
+                rec["reason"] = suffix.sub(r"\1", rec["reason"])
+        assert strata["types"] == smallness["records"]
+
+    def test_negative_dimension_wording(self, capsys):
+        reason = "part (1, 1) has negative expected stable moduli dimension"
+        _, strata, _ = run_json(capsys, ["strata", "--example", "kronecker_general:0,0"])
+        _, smallness, _ = run_json(capsys, ["smallness", "--example", "kronecker_general:0,0"])
+        assert strata["types"][0]["reason"] == reason
+        assert smallness["records"][0]["reason"] == reason + " (-1)"
+
+    def test_non_symmetric_local_quiver(self, capsys, monkeypatch):
+        problem = {
+            "arrows": [[0, 1, 1], [3, 0, 3], [3, 2, 2]],
+            "dimension": [1, 0, 1],
+            "stability": [-3, 0, -3],
+        }
+        code, payload, _ = run_stdin_json(capsys, monkeypatch, ["strata"], problem)
+        assert code == 0
+        rows = [row for row in payload["types"] if row["filtered"]]
+        assert len(rows) == 1
+        row = rows[0]
+        assert row["reason"] == "local quiver is not symmetric"
+        assert row["local_arrows"] == [[0, 1], [3, 2]]
+        assert row["local_dim"] == [1, 1] and row["local_stability"] == [1, -1]
+        assert row["fiber_bound"] is None and row["margin"] is None
+
+    def test_negative_arrow_count(self, capsys, monkeypatch):
+        problem = {
+            "arrows": [[3, 2, 1, 2], [1, 0, 1, 0], [3, 2, 3, 3], [2, 2, 3, 2]],
+            "dimension": [0, 2, 0, 1],
+            "stability": [0, 3, -2, 3],
+        }
+        code, payload, _ = run_stdin_json(capsys, monkeypatch, ["strata"], problem)
+        assert code == 0
+        rows = [
+            row
+            for row in payload["types"]
+            if (row["reason"] or "").startswith("local quiver would need")
+        ]
+        assert len(rows) == 1
+        assert rows[0]["filtered"] and rows[0]["local_arrows"] is None
 
 
 class TestSmallness:
@@ -185,8 +265,6 @@ class TestOtherCommands:
         assert payload["dimension"] == [1, 1, 1]
 
     def test_stdin_input(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(KRONECKER2_PROBLEM)))
         code, payload, _ = run_json(capsys, ["info", "-"])
         assert code == 0

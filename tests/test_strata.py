@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,11 +13,14 @@ from quivermoduli import (
     certify_smallness,
     codim_lower_bound,
     fiber_dim_bound,
+    generic_deformation,
     is_coprime,
     local_quiver,
     luna_types,
+    normalize_stability,
     nullcone_dim_bound,
     smallness_margin,
+    stratum_records,
 )
 
 HALF = Fraction(1, 2)
@@ -262,3 +266,67 @@ class TestCertify:
         for rec in report.records:
             if not rec.filtered:
                 assert is_coprime(rec.local_stability, rec.local_dim)
+
+
+class TestStratumRecords:
+    def test_follows_luna_types_order(self):
+        q = complete_with_loops(3)
+        d = DimVector((1, 1, 2))
+        theta = Stability((0, 0, 0))
+        records = stratum_records(q, d, theta, Stability((4, -1, -1)))
+        assert [rec.luna_type for rec in records] == luna_types(q, d, theta)
+
+    def test_three_filters(self):
+        # one type for each filter reason, kept in luna_types order
+        q = Quiver.from_matrix([[3, 2, 1, 2], [1, 0, 1, 0], [3, 2, 3, 3], [2, 2, 3, 2]])
+        d = DimVector((0, 2, 0, 1))
+        theta = Stability((0, 3, -2, 3))
+        records = stratum_records(q, d, theta, Stability((-9, 1, -15, -2)))
+        assert [rec.luna_type for rec in records] == luna_types(q, d, theta)
+        assert [rec.reason for rec in records] == [
+            None,
+            "part (0, 2, 0, 0) has negative expected stable moduli dimension (-3)",
+            "local quiver would need -1 arrows from summand 2 to summand 1",
+            "local quiver is not symmetric",
+        ]
+        asym = records[3]
+        assert asym.filtered and asym.local_quiver is not None
+        assert asym.fiber_bound is None and asym.margin is None
+
+    def test_certify_never_filters_non_symmetric(self):
+        # every part lies in the kernel of the stability, where the form is
+        # symmetric once the hypotheses hold, so every local quiver is symmetric
+        rng = random.Random(0)
+        reached = several_types = 0
+        for _ in range(200):
+            n = rng.randint(2, 3)
+            m = [[rng.randint(0, 3) for _ in range(n)] for _ in range(n)]
+            if rng.random() < 0.5:
+                m = [[max(m[i][j], m[j][i]) for j in range(n)] for i in range(n)]
+            q = Quiver.from_matrix(m)
+            d = DimVector(tuple(rng.randint(0, 2) for _ in range(n)))
+            if d.is_zero:
+                continue
+            theta = Stability(tuple(rng.randint(-1, 1) for _ in range(n)))
+            try:
+                theta_prime = generic_deformation(normalize_stability(theta, d), d)
+            except PreconditionError:
+                continue
+            report = certify_smallness(q, d, theta, theta_prime)
+            if report.verdict == "NotApplicable":
+                continue
+            reached += 1
+            several_types += len(report.records) > 1
+            assert report.records == stratum_records(q, d, theta, theta_prime)
+            assert all(rec.reason != "local quiver is not symmetric" for rec in report.records)
+        assert reached >= 50 and several_types >= 10
+
+    def test_non_symmetric_local_quiver_needs_kernel_asymmetry(self):
+        q = Quiver.from_matrix([[0, 1, 1], [3, 0, 3], [3, 2, 2]])
+        d = DimVector((1, 0, 1))
+        theta = Stability((-3, 0, -3))
+        theta_prime = Stability((1, 6, -1))
+        reasons = [rec.reason for rec in stratum_records(q, d, theta, theta_prime)]
+        assert reasons == [None, "local quiver is not symmetric"]
+        report = certify_smallness(q, d, theta, theta_prime)
+        assert report.verdict == "NotApplicable" and not report.kernel_symmetric
