@@ -16,8 +16,6 @@ Both are exact and must agree whenever their shared hypotheses hold.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import (
     DEFAULT_MAX_BOX,
     DimVector,
@@ -35,92 +33,135 @@ from .errors import InternalCheckError, PreconditionError
 from .halfq import HalfLaurent, RatFunc, SlopeSeries, pleth_log
 
 
-@dataclass(frozen=True)
-class OrderedDecomposition:
-    """Ordered tuple of nonzero dimension vectors summing to a fixed total.
+def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    out: dict[int, int] = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
+    return out
 
-    Stored together with the stability whose partial-sum slope condition
-    selected it.
+
+def _gaussian_binomials(top: int) -> list[list[dict[int, int]]]:
+    """Table[n][k] = the Gaussian binomial [n choose k] in x, as {power: coefficient}.
+
+    Built by [n, k] = [n-1, k-1] + x^k [n-1, k]. It equals [n]! / ([k]! [n-k]!)
+    for the q-factorials [m]! = prod_{j=1}^{m} (1 - x^j), and has integer
+    coefficients.
     """
+    table = [[{0: 1}]]
+    for n in range(1, top + 1):
+        prev = table[-1]
+        row = [{0: 1}]
+        for k in range(1, n):
+            coeffs = dict(prev[k - 1])
+            for p, c in prev[k].items():
+                coeffs[p + k] = coeffs.get(p + k, 0) + c
+            row.append(coeffs)
+        row.append({0: 1})
+        table.append(row)
+    return table
 
-    parts: tuple[DimVector, ...]
-    stability: Stability
 
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+def _hn_numerators(
+    q: Quiver, d: DimVector, theta: Stability, max_box: int
+) -> dict[DimVector, dict[int, int]]:
+    """Harder-Narasimhan recursion over the cells of the box [0, d].
 
-    def total(self) -> DimVector:
-        out = self.parts[0]
-        for p in self.parts[1:]:
-            out = out + p
-        return out
-
-
-def hn_decompositions(
-    d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
-) -> list[OrderedDecomposition]:
-    """Ordered decompositions whose proper partial sums have slope > slope(d).
-
-    Every tuple (d^1, ..., d^s) of nonzero vectors with sum d such that
-    slope(d^1 + ... + d^k) > slope(d) for all k < s. Enumeration is
-    depth-first with parts in ascending lexicographic order, so the output
-    order is deterministic; the one-part decomposition (d) always occurs.
+    Returns G(e) = -[e]! p_e for every nonzero e <= d with slope(e) =
+    slope(d), as an integer Laurent polynomial {k: coefficient of x^k} in
+    x = q^-1, where [e]! = prod_i prod_{j=1}^{e_i} (1 - x^j). See p_poly
+    for the sum and the recursion. Cells are visited in ascending
+    lexicographic order, so every T < S is finished before S; only cells
+    of slope at least slope(d) are ever needed.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
     check_box(d, max_box)
+    tnorm = normalize_stability(theta, d)
     mu_d = slope(theta, d)
-    normalized = theta(d) == 0
-    results: list[OrderedDecomposition] = []
-
-    def extend(prefix: tuple[DimVector, ...], acc: DimVector) -> None:
-        remaining = d - acc
-        for p in box_iter(remaining):
-            if p.is_zero:
+    euler = q.euler_matrix()
+    n = len(d)
+    binomials = _gaussian_binomials(max(d))
+    factors: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    zero = (0,) * n
+    # cells that may end a proper partial sum, with their G values
+    sources: list[tuple[tuple[int, ...], dict[int, int]]] = [(zero, {0: 1})]
+    numerators: dict[DimVector, dict[int, int]] = {}
+    for cell in box_iter(d):
+        if cell.is_zero:
+            continue
+        weight = tnorm(cell)
+        if cell != d and (slope(theta, cell) > mu_d) != (weight > 0):
+            raise InternalCheckError("slope and weight forms of the condition disagree")
+        if weight < 0:
+            continue
+        s = cell.coords
+        es = [sum(row[j] * s[j] for j in range(n)) for row in euler]
+        form_ss = sum(a * b for a, b in zip(s, es))
+        acc: dict[int, int] = {}
+        for t, g in sources:
+            if any(a > b for a, b in zip(t, s)):
                 continue
-            acc2 = acc + p
-            if acc2 == d:
-                results.append(OrderedDecomposition(prefix + (p,), theta))
-                continue
-            keep = slope(theta, acc2) > mu_d
-            if normalized and keep != (theta(acc2) > 0):
-                # with theta(d) = 0 the slope condition must reduce to positivity
-                raise InternalCheckError("slope and weight forms of the condition disagree")
-            if keep:
-                extend(prefix + (p,), acc2)
+            # -x^{form(S - T, S)} [S]! / ([T]! [S - T]!)
+            shift = form_ss - sum(a * b for a, b in zip(t, es))
+            key = tuple((si, ti) for ti, si in zip(t, s) if 0 < ti < si)
+            factor = factors.get(key)
+            if factor is None:
+                factor = {0: 1}
+                for si, ti in key:
+                    factor = _mul(factor, binomials[si][ti])
+                factors[key] = factor
+            for p1, c1 in g.items():
+                for p2, c2 in factor.items():
+                    p = p1 + p2 + shift
+                    acc[p] = acc.get(p, 0) - c1 * c2
+        acc = {p: c for p, c in acc.items() if c}
+        if weight > 0:
+            sources.append((s, acc))
+        else:
+            numerators[cell] = acc
+    return numerators
 
-    extend((), DimVector((0,) * len(d)))
-    return results
+
+def _p_value(numerator: dict[int, int], e: DimVector) -> RatFunc:
+    """p_e = -G(e) / [e]!, canonicalized once; x = q^-1 is v^-2."""
+    den = {0: 1}
+    for di in e:
+        for j in range(1, di + 1):
+            den = _mul(den, {0: 1, j: -1})
+    return RatFunc.from_ratio(
+        HalfLaurent({-2 * k: -c for k, c in numerator.items()}),
+        HalfLaurent({-2 * k: c for k, c in den.items()}),
+    )
 
 
 def p_poly(
     q: Quiver, d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
 ) -> RatFunc:
-    """Alternating sum of weighted terms over hn_decompositions(d, theta).
+    """Alternating sum of weighted terms over the ordered HN-type decompositions of d.
 
-    Each decomposition (d^1, ..., d^s) contributes
+    Equals the sum over tuples (d^1, ..., d^s) of nonzero vectors with sum d
+    whose proper partial sums S_k = d^1 + ... + d^k all have
+    slope(theta, S_k) > slope(theta, d) of
 
-        (-1)^(s-1) * q^(-sum_{k<=l} form(d^l, d^k))
-                   * prod_k prod_i prod_{j=1}^{d^k_i} (1 - q^{-j})^{-1},
+        (-1)^(s-1) * q^(-sum_{k<=l} form(d^l, d^k)) / prod_k [d^k]!,
 
-    assembled exactly as a rational function in v (q = v^2).
+    where [e]! = prod_i prod_{j=1}^{e_i} (1 - q^{-j}), as an exact rational
+    function in v (q = v^2).
+
+    Computed by Reineke's Harder-Narasimhan recursion instead of listing the
+    tuples, whose number grows super-exponentially. The exponent splits per
+    step, sum_{k<=l} form(d^l, d^k) = sum_l form(d^l, S_l), so with F(0) = 1,
+
+        F(S) = sum_T F(T) * (-q^(-form(S - T, S))) / [S - T]!
+
+    over cells T < S with T = 0 or slope(T) > slope(d), and p = -F(d).
+    G(S) = [S]! F(S) needs only Gaussian binomials in q^-1, so the recursion
+    runs in integer Laurent polynomials and is canonicalized once at the end.
+    The work is at most one step per pair T <= S of cells,
+    prod_i (d_i + 1)(d_i + 2) / 2, which is polynomial in the box.
     """
-    total = RatFunc.zero()
-    for dec in hn_decompositions(d, theta, max_box):
-        parts = dec.parts
-        s = len(parts)
-        expo = sum(
-            q.euler_form(parts[l], parts[k]) for l in range(s) for k in range(l + 1)
-        )
-        den = HalfLaurent.one()
-        for part in parts:
-            for di in part:
-                for j in range(1, di + 1):
-                    den = den * (HalfLaurent.one() - HalfLaurent.monomial(-2 * j))
-        num = HalfLaurent.monomial(-2 * expo, (-1) ** (s - 1))
-        total = total + RatFunc.from_ratio(num, den)
-    return total
+    return _p_value(_hn_numerators(q, d, theta, max_box)[d], d)
 
 
 def _require_q_polynomial(value: RatFunc, what: str) -> HalfLaurent:
@@ -158,17 +199,19 @@ def dt_invariants(
     Builds the generating series 1 + sum (-v)^(form(e,e)) p_e t^e over
     nonzero e <= d with normalized weight zero, applies the plethystic
     logarithm and rescales by q^(-1/2) - q^(1/2). Returns the coefficient
-    at every such exponent.
+    at every such exponent. All the p_e come from one pass of the
+    recursion of p_poly over the box of d: with the normalized weight,
+    the partial-sum condition is positivity for every such target e.
     """
     tnorm = normalize_stability(theta, d)
-    check_box(d, max_box)
-    exponents = [e for e in box_iter(d) if not e.is_zero and tnorm(e) == 0]
+    numerators = _hn_numerators(q, d, tnorm, max_box)
+    exponents = list(numerators)
     zero = DimVector((0,) * len(d))
     terms: dict[DimVector, RatFunc] = {zero: RatFunc.one()}
     for e in exponents:
         se = q.euler_form(e, e)
         sign_twist = RatFunc.v_power(se) * (1 if se % 2 == 0 else -1)
-        terms[e] = sign_twist * p_poly(q, e, tnorm, max_box)
+        terms[e] = sign_twist * _p_value(numerators[e], e)
     series = SlopeSeries(d, terms)
     rescale = RatFunc.v_power(-1) - RatFunc.v_power(1)
     dt_series = pleth_log(series) * rescale

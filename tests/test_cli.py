@@ -55,6 +55,23 @@ class TestIc:
         assert payload["result"]["v_powers"] == {"4": "1", "6": "1"}
         assert payload["routes_agree"] is True
 
+    # Rungs out of reach of a sum over ordered decompositions. (P^1)^5 // SL_2
+    # at the symmetric stability is the degree-5 del Pezzo surface, whose
+    # Betti numbers are 1, 5, 1; points:6,3 is pinned at the value both
+    # routes give.
+    @pytest.mark.parametrize(
+        "spec, v_powers",
+        [
+            ("points:5,2", {"0": "1", "2": "5", "4": "1"}),
+            ("points:6,3", {"0": "1", "2": "6", "4": "7", "6": "6", "8": "1"}),
+        ],
+    )
+    def test_points_rungs(self, capsys, spec, v_powers):
+        code, payload, _ = run_json(capsys, ["ic", "--example", spec])
+        assert code == 0
+        assert payload["result"]["v_powers"] == v_powers
+        assert payload["routes_agree"] is True
+
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, ["ic", "--example", "determinantal:2,1"])
         assert code == 0

@@ -1,4 +1,6 @@
 import pytest
+from hn_oracle import hn_problems, p_by_decompositions
+from hypothesis import example, given, settings
 
 from quivermoduli import (
     DimVector,
@@ -9,7 +11,6 @@ from quivermoduli import (
     Stability,
     betti_coprime,
     dt_invariants,
-    hn_decompositions,
     ic_poincare_dt,
     ic_poincare_resolution,
     moduli_dim,
@@ -68,38 +69,6 @@ def q_poly(coeffs):
 
 def one_over_q_minus_one():
     return RatFunc.one() / (RatFunc.q_power(1) - 1)
-
-
-class TestHnDecompositions:
-    def test_two_vertex_balanced(self):
-        decs = hn_decompositions(DimVector((1, 1)), Stability((1, -1)))
-        parts = {tuple(dec.parts) for dec in decs}
-        assert parts == {
-            (DimVector((1, 1)),),
-            (DimVector((1, 0)), DimVector((0, 1))),
-        }
-
-    def test_single_vertex_trivial_only(self):
-        decs = hn_decompositions(DimVector((2,)), Stability((0,)))
-        assert [dec.parts for dec in decs] == [(DimVector((2,)),)]
-
-    def test_mirror(self):
-        decs = hn_decompositions(DimVector((1, 1)), Stability((-1, 1)))
-        parts = {tuple(dec.parts) for dec in decs}
-        assert parts == {
-            (DimVector((1, 1)),),
-            (DimVector((0, 1)), DimVector((1, 0))),
-        }
-
-    def test_contains_trivial_and_is_deterministic(self):
-        d = DimVector((2, 1))
-        theta = Stability((1, -2))
-        first = hn_decompositions(d, theta)
-        second = hn_decompositions(d, theta)
-        assert [dec.parts for dec in first] == [dec.parts for dec in second]
-        assert (d,) in [dec.parts for dec in first]
-        for dec in first:
-            assert dec.total() == d
 
 
 class TestPPoly:
@@ -181,23 +150,27 @@ class TestDtInvariants:
         with_deformed = dt_invariants(q, Stability((1, -1)), d)
         assert with_theta[d] == with_deformed[d]
 
-    def test_defining_equation_roundtrip(self):
-        # the generating series of the p values must be the plethystic
-        # exponential of the rescaled DT series
-        from quivermoduli import RatFunc, SlopeSeries, pleth_exp
+    # pleth_exp and pleth_log cost seconds on the largest oracle boxes, so
+    # the round trip draws boxes of at most 12 cells
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    @given(hn_problems(max_cells=12))
+    @example((kronecker(2, 2), DimVector((1, 1)), Stability((0, 0))))
+    def test_defining_equation_roundtrip(self, problem):
+        # the generating series of the p values, each summed over its
+        # decompositions, must be the plethystic exponential of the
+        # rescaled DT series
+        from quivermoduli import RatFunc, SlopeSeries, normalize_stability, pleth_exp
 
-        q = kronecker(2, 2)
-        d = DimVector((1, 1))
-        theta = Stability((0, 0))
+        q, d, theta = problem
         dt = dt_invariants(q, theta, d)
         rescale = (RatFunc.v_power(-1) - RatFunc.v_power(1)).inverse()
         dt_series = SlopeSeries(d, {e: v * rescale for e, v in dt.items()})
-        zero = DimVector((0, 0))
-        direct = {zero: RatFunc.one()}
+        tnorm = normalize_stability(theta, d)
+        direct = {DimVector((0,) * len(d)): RatFunc.one()}
         for e in dt:
             se = q.euler_form(e, e)
             twist = RatFunc.v_power(se) * (1 if se % 2 == 0 else -1)
-            direct[e] = twist * p_poly(q, e, theta)
+            direct[e] = twist * p_by_decompositions(q, e, tnorm)
         assert pleth_exp(dt_series) == SlopeSeries(d, direct)
 
 
