@@ -180,13 +180,40 @@ def build_example(family: str, params: Sequence[int]) -> QuiverSetup:
 
     The one-dimensional-vertices construction is not an integer-list
     family; apply abelianized_quiver to any setup (the command line
-    exposes this as a flag).
+    exposes this as a flag). A wrong number of parameters raises
+    ValueError naming the family's parameters.
     """
+    builder, doc = _family(family)
+    try:
+        return builder(list(params))
+    except TypeError:  # the builders take a fixed number of parameters
+        raise ValueError(f"example {family} takes {doc}") from None
+
+
+def example_from_spec(spec: str) -> tuple[str, list[int], QuiverSetup]:
+    """Build a catalog example from a ``family:p1,p2,...`` spec.
+
+    Returns the family name, its parameters and the setup. A field that is
+    not an integer, an empty one included, raises ValueError naming the
+    family's parameters, as a wrong number of them does.
+    """
+    family, sep, rest = spec.partition(":")
+    if not sep:
+        raise ValueError("example must look like family:p1,p2,...")
+    family = family.strip()
+    _, doc = _family(family)
+    try:
+        params = [int(x) for x in rest.split(",")] if rest.strip() else []
+    except ValueError:
+        raise ValueError(f"example {family} takes {doc}") from None
+    return family, params, build_example(family, params)
+
+
+def _family(family: str):
     if family not in FAMILIES:
         known = ", ".join(sorted(FAMILIES))
         raise ValueError(f"unknown example family {family!r}; known families: {known}")
-    builder, _ = FAMILIES[family]
-    return builder(list(params))
+    return FAMILIES[family]
 
 
 def abelianized_quiver(

@@ -1,12 +1,17 @@
 """Batch command-line front end.
 
+    quivermoduli COMMAND [INPUT.json | -] [--example family:p1,p2,...]
+                 [--abelianize] [--assume-nonempty] [--json] [--max-box N]
+
 Reads a problem description (quiver, dimension vector, stability,
 optional deformed stability) from a JSON file, stdin, or a named example
-family, dispatches one computation and prints the result, human-readable
-by default or as canonical JSON with --json.
+family, dispatches one computation (COMMAND_TABLE) and prints the result,
+human-readable by default or as canonical JSON with --json. Options may
+come in any order, before or after COMMAND; `examples` takes no problem.
 
-Exit codes: 0 success, 1 input or parse error, 2 precondition violation
-(including the box-enumeration guard), 3 internal consistency failure.
+Exit codes: 0 success, 1 input or parse error (usage errors included),
+2 precondition violation (including the box-enumeration guard), 3 internal
+consistency failure. Every error prints one line on stderr.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .catalog import FAMILIES, abelianized_quiver, build_example, rank_one_smallness_report
+from .catalog import FAMILIES, abelianized_quiver, example_from_spec, rank_one_smallness_report
 from .core import (
     DEFAULT_MAX_BOX,
     DimVector,
@@ -35,9 +40,6 @@ from .errors import InternalCheckError, PreconditionError
 from .halfq import HalfLaurent, RatFunc
 from .invariants import betti_coprime, dt_invariants, ic_poincare_dt, ic_poincare_resolution, p_poly
 from .strata import certify_smallness, stratum_records
-
-COMMANDS = ("info", "deform", "pd", "betti", "dt", "ic", "strata", "smallness", "examples")
-
 
 class ProblemSpec:
     """Validated problem description consumed by every command."""
@@ -85,6 +87,7 @@ def parse_problem_json(text: str) -> ProblemSpec:
         isinstance(vertices, list) and len(vertices) == n,
         "vertices must list one name per matrix row",
     )
+    _require(all(isinstance(v, str) for v in vertices), "vertices must be strings")
     dim = data["dimension"]
     _require(
         isinstance(dim, list) and len(dim) == n and all(_is_int(c) and c >= 0 for c in dim),
@@ -107,7 +110,7 @@ def parse_problem_json(text: str) -> ProblemSpec:
     assume = data.get("assume_nonempty", False)
     _require(isinstance(assume, bool), "assume_nonempty must be a boolean")
     return ProblemSpec(
-        Quiver(tuple(str(v) for v in vertices), tuple(tuple(row) for row in arrows)),
+        Quiver(tuple(vertices), tuple(tuple(row) for row in arrows)),
         DimVector(tuple(dim)),
         Stability(tuple(stab)),
         deformed,
@@ -115,19 +118,11 @@ def parse_problem_json(text: str) -> ProblemSpec:
     )
 
 
-def _parse_example(text: str):
-    family, sep, rest = text.partition(":")
-    _require(bool(sep), "example must look like family:p1,p2,...")
-    params = [int(x) for x in rest.split(",") if x.strip() != ""]
-    return family.strip(), params
-
-
 def load_problem(args) -> ProblemSpec:
     if args.example and args.input:
         raise ValueError("give either an input file or --example, not both")
     if args.example:
-        family, params = _parse_example(args.example)
-        setup = build_example(family, params)
+        family, params, setup = example_from_spec(args.example)
         problem = ProblemSpec(
             setup.quiver,
             setup.dim_vector,
@@ -147,7 +142,7 @@ def load_problem(args) -> ProblemSpec:
             problem.assume_nonempty = True
     else:
         raise ValueError("no input: give a problem JSON path, -, or --example")
-    if getattr(args, "abelianize", False):
+    if args.abelianize:
         quiver, dim, stab = abelianized_quiver(problem.quiver, problem.dim_vector, problem.stability)
         problem = ProblemSpec(quiver, dim, stab, None, problem.assume_nonempty, problem.family)
     return problem
@@ -378,73 +373,70 @@ def _pretty_value(value) -> str:
 # entry point
 
 
+#: Every command: name -> (handler, one-line help). The parser's choices, the
+#: --help listing and the dispatch in main all read this table.
+COMMAND_TABLE = {
+    "info": (cmd_info, "forms, ranks, coprimality and expected dimension"),
+    "deform": (cmd_deform, "construct and verify a generic deformation of the stability"),
+    "pd": (cmd_pd, "decomposition-sum rational function for the stability"),
+    "betti": (cmd_betti, "Betti polynomial of the moduli space (coprime case)"),
+    "dt": (cmd_dt, "all slope-zero Donaldson-Thomas invariants up to d"),
+    "ic": (cmd_ic, "intersection-cohomology Poincare polynomial (both routes if deformed given)"),
+    "strata": (cmd_strata, "decomposition types, local quivers and bounds"),
+    "smallness": (cmd_smallness, "smallness certification report"),
+    "examples": (cmd_examples, "list the catalog example families"),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is an input error: main prints it on one line and exits 1
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit canonical JSON")
-    common.add_argument(
+    listing = "".join(f"\n  {name:<10} {text}" for name, (_, text) in COMMAND_TABLE.items())
+    parser = _Parser(
+        prog="quivermoduli",
+        description="exact invariants of moduli of semistable quiver representations",
+        epilog="commands:" + listing,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    parser.add_argument("command", metavar="COMMAND", choices=COMMAND_TABLE)
+    parser.add_argument("input", nargs="?", help="problem JSON path, or - for stdin")
+    parser.add_argument("--example", help="catalog example, family:p1,p2,...")
+    parser.add_argument(
+        "--abelianize",
+        action="store_true",
+        help="split every vertex into unit-dimension copies before computing",
+    )
+    parser.add_argument(
+        "--assume-nonempty",
+        action="store_true",
+        help="record the nonemptiness assumption in the output",
+    )
+    parser.add_argument("--json", action="store_true", help="emit canonical JSON")
+    parser.add_argument(
         "--max-box",
         type=int,
         default=DEFAULT_MAX_BOX,
         help="cap on box-enumeration cells (default 10^6)",
     )
-    inputs = argparse.ArgumentParser(add_help=False)
-    inputs.add_argument("input", nargs="?", help="problem JSON path, or - for stdin")
-    inputs.add_argument("--example", help="catalog example, family:p1,p2,...")
-    inputs.add_argument(
-        "--abelianize",
-        action="store_true",
-        help="split every vertex into unit-dimension copies before computing",
-    )
-    inputs.add_argument(
-        "--assume-nonempty",
-        action="store_true",
-        help="record the nonemptiness assumption in the output",
-    )
-    parser = argparse.ArgumentParser(
-        prog="quivermoduli",
-        description="exact invariants of moduli of semistable quiver representations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "info": "forms, ranks, coprimality and expected dimension",
-        "deform": "construct and verify a generic deformation of the stability",
-        "pd": "decomposition-sum rational function for the stability",
-        "betti": "Betti polynomial of the moduli space (coprime case)",
-        "dt": "all slope-zero Donaldson-Thomas invariants up to d",
-        "ic": "intersection-cohomology Poincare polynomial (both routes if deformed given)",
-        "strata": "decomposition types, local quivers and bounds",
-        "smallness": "smallness certification report",
-        "examples": "list the catalog example families",
-    }
-    for name in COMMANDS:
-        parents = [common] if name == "examples" else [common, inputs]
-        sub.add_parser(name, parents=parents, help=helps[name])
     return parser
-
-
-def run_command(args) -> dict:
-    if args.command == "examples":
-        return cmd_examples()
-    problem = load_problem(args)
-    max_box = args.max_box
-    handlers = {
-        "info": cmd_info,
-        "deform": cmd_deform,
-        "pd": cmd_pd,
-        "betti": cmd_betti,
-        "dt": cmd_dt,
-        "ic": cmd_ic,
-        "strata": cmd_strata,
-        "smallness": cmd_smallness,
-    }
-    return handlers[args.command](problem, max_box)
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        payload = run_command(args)
+        # intermixed: an option may also stand between COMMAND and input
+        args = parser.parse_intermixed_args(argv)
+        handler, _ = COMMAND_TABLE[args.command]
+        if args.command != "examples":
+            payload = handler(load_problem(args), args.max_box)
+        elif args.input or args.example or args.abelianize or args.assume_nonempty:
+            parser.error("examples takes no input, --example, --abelianize or --assume-nonempty")
+        else:
+            payload = handler()
     except PreconditionError as exc:
         sys.stderr.write(f"error: precondition: {exc}\n")
         return 2

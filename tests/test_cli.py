@@ -4,7 +4,8 @@ import re
 
 import pytest
 
-from quivermoduli.cli import main
+from quivermoduli.catalog import FAMILIES
+from quivermoduli.cli import COMMAND_TABLE, main
 
 KRONECKER2_PROBLEM = {
     "vertices": ["i", "j"],
@@ -112,6 +113,60 @@ class TestExitCodes:
         assert "--max-box" in err
 
 
+class TestParser:
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        names = ["info", "deform", "pd", "betti", "dt", "ic", "strata", "smallness", "examples"]
+        assert list(COMMAND_TABLE) == names
+        for name, (_, text) in COMMAND_TABLE.items():
+            assert re.search(rf"^  {name} +{re.escape(text)}$", out, re.M)
+
+    def test_options_in_any_position(self, capsys, monkeypatch):
+        outputs = []
+        for argv in (
+            ["info", "--example", "determinantal:2,1", "--json"],
+            ["--json", "info", "--example", "determinantal:2,1"],
+            ["info", "--json", "-"],
+        ):
+            problem = {"arrows": [[0, 2], [2, 0]], "dimension": [1, 1], "stability": [0, 0]}
+            monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
+            code, out, err = run(capsys, argv)
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[2])["euler_matrix"] == json.loads(outputs[0])["euler_matrix"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nonsense"],
+            ["info", "--bogus"],
+            ["info", "--max-box", "many"],
+            ["examples", "--example", "levi_adjoint:3"],
+            ["examples", "-"],
+            ["examples", "--abelianize"],
+            ["examples", "--assume-nonempty"],
+        ],
+    )
+    def test_usage_error_is_one_input_line(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "spec", ["points:", "determinantal:1,1,1", "kronecker_general:1", "points:2,,3"]
+    )
+    def test_bad_example_parameters(self, capsys, spec):
+        code, out, err = run(capsys, ["info", "--example", spec])
+        assert code == 1 and out == ""
+        assert err.startswith("error: input:") and err.count("\n") == 1
+        assert FAMILIES[spec.partition(":")[0]][1] in err
+
+
 class TestBooleanRejected:
     @pytest.mark.parametrize(
         "field,value,message",
@@ -120,6 +175,7 @@ class TestBooleanRejected:
             ("dimension", [1, True], "dimension"),
             ("stability", [0, False], "stability"),
             ("deformed_stability", [True, -1], "deformed_stability"),
+            ("vertices", ["a", 1], "vertices"),
         ],
     )
     def test_boolean_is_not_an_integer(self, capsys, monkeypatch, field, value, message):
