@@ -63,9 +63,17 @@ def _is_int(x) -> bool:
     return type(x) is int
 
 
+#: The top-level keys of a problem description; any other key is refused.
+PROBLEM_KEYS = (
+    "vertices", "arrows", "dimension", "stability", "deformed_stability", "assume_nonempty"
+)
+
+
 def parse_problem_json(text: str) -> ProblemSpec:
     data = json.loads(text)
     _require(isinstance(data, dict), "problem description must be a JSON object")
+    unknown = sorted(k for k in data if k not in PROBLEM_KEYS)
+    _require(not unknown, f"unknown field: {', '.join(unknown)}; known: {', '.join(PROBLEM_KEYS)}")
     _require("arrows" in data, "missing field: arrows")
     _require("dimension" in data, "missing field: dimension")
     _require("stability" in data, "missing field: stability")
@@ -388,6 +396,16 @@ COMMAND_TABLE = {
 }
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is an input error: main prints it on one line and exits 1
@@ -418,7 +436,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--json", action="store_true", help="emit canonical JSON")
     parser.add_argument(
         "--max-box",
-        type=int,
+        type=_positive_int,
         default=DEFAULT_MAX_BOX,
         help="cap on box-enumeration cells (default 10^6)",
     )

@@ -331,50 +331,6 @@ def skew_rank(q: Quiver) -> int:
     return _rational_rank(rows)
 
 
-def _kernel_basis(theta: Stability) -> list[tuple[int, ...]]:
-    """Integer basis of the rational kernel of a single covector.
-
-    For theta = 0 the kernel is everything and the unit vectors are
-    returned; otherwise the basis vectors theta_p e_i - theta_i e_p for
-    i != p, where p is the first index with nonzero weight. This is the
-    one-row case of fraction-free elimination.
-    """
-    n = len(theta)
-    nonzero = [i for i in range(n) if theta[i] != 0]
-    if not nonzero:
-        return [tuple(1 if k == i else 0 for k in range(n)) for i in range(n)]
-    p = nonzero[0]
-    basis = []
-    for i in range(n):
-        if i == p:
-            continue
-        vec = [0] * n
-        vec[i] = theta[p]
-        vec[p] = -theta[i]
-        basis.append(tuple(vec))
-    return basis
-
-
-def _skew_value(skew, a, b) -> int:
-    return sum(skew[i][j] * a[i] * b[j] for i in range(len(a)) for j in range(len(b)))
-
-
-def symmetric_on_kernel(q: Quiver, theta: Stability) -> bool:
-    """Whether the bilinear form is symmetric on the kernel of theta.
-
-    Computes an exact rational basis of {x : theta(x) = 0} and checks that
-    the antisymmetrized form vanishes on all basis pairs.
-    """
-    q._check(theta)
-    skew = q.skew_matrix()
-    basis = _kernel_basis(theta)
-    for a in basis:
-        for b in basis:
-            if _skew_value(skew, a, b) != 0:
-                return False
-    return True
-
-
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
     old_r, r = a, b
@@ -402,6 +358,29 @@ def _gcd_combination(weights: tuple[int, ...]) -> tuple[int, list[int]]:
     return g, coeffs
 
 
+def symmetric_on_kernel(q: Quiver, theta: Stability) -> bool:
+    """Whether the bilinear form is symmetric on the kernel of theta.
+
+    For theta = 0 the antisymmetrized form S must vanish. Otherwise let
+    theta' = theta / gcd and v an integer vector with theta'(v) = 1, as in
+    eta_factorization. Splitting x = (x - theta'(x) v) + theta'(x) v shows
+    that S vanishes on the kernel iff S = eta (x) theta' - theta' (x) eta
+    with eta(x) = S(x, v). That is O(n^2) integer work on the skew matrix.
+    """
+    q._check(theta)
+    skew = q.skew_matrix()
+    if theta.is_zero:
+        return not any(any(row) for row in skew)
+    g, v = _gcd_combination(theta.weights)
+    t = [w // g for w in theta.weights]
+    eta = [sum(a * b for a, b in zip(row, v)) for row in skew]
+    return all(
+        row[j] == eta[i] * t[j] - t[i] * eta[j]
+        for i, row in enumerate(skew)
+        for j in range(len(t))
+    )
+
+
 def eta_factorization(q: Quiver, theta: Stability) -> tuple[Fraction, ...]:
     """Covector eta splitting the antisymmetrized form through theta.
 
@@ -410,8 +389,8 @@ def eta_factorization(q: Quiver, theta: Stability) -> tuple[Fraction, ...]:
         antisym_form(d, e) = eta(d) * theta(e) - theta(d) * eta(e)
 
     for all d, e, which exists exactly when the form is symmetric on the
-    kernel of theta. Built from a kernel basis extended by a vector v with
-    (theta / gcd)(v) = 1, giving eta(x) = {x, v} / gcd; the result is then
+    kernel of theta. Built from a vector v with (theta / gcd)(v) = 1, as in
+    symmetric_on_kernel, giving eta(x) = {x, v} / gcd; the result is then
     reduced modulo theta so that the weight at theta's first nonzero
     position is zero, which makes it canonical. The identity fixes eta up
     to adding rational multiples of theta only, so no integer rescaling is

@@ -4,7 +4,10 @@ The generating rational functions attached to slope-filtered ordered
 decompositions, the Betti polynomial of the moduli space in the coprime
 case, q-Donaldson-Thomas invariants extracted with the plethystic
 logarithm, and the two independent routes to the intersection-cohomology
-Poincare polynomial:
+Poincare polynomial. Both p and the DT invariants run in integer Laurent
+polynomials, Gaussian-normalized: the coefficient at e is kept multiplied
+by [e]! = prod_i prod_{j=1}^{e_i} (1 - q^{-j}), so no gcd is taken until
+each result is canonicalized once per exponent. The routes are
 
 * the DT route, a sign-twisted DT invariant, valid when the form is
   symmetric on the kernel of the stability;
@@ -30,7 +33,7 @@ from .core import (
 )
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, PreconditionError
-from .halfq import HalfLaurent, RatFunc, SlopeSeries, pleth_log
+from .halfq import HalfLaurent, RatFunc, _mobius
 
 
 def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
@@ -60,6 +63,16 @@ def _gaussian_binomials(top: int) -> list[list[dict[int, int]]]:
         row.append({0: 1})
         table.append(row)
     return table
+
+
+def _binomial_product(
+    binomials: list[list[dict[int, int]]], key: tuple[tuple[int, int], ...]
+) -> dict[int, int]:
+    """prod over (s_i, t_i) in key of [s_i choose t_i] in x, from a _gaussian_binomials table."""
+    out = {0: 1}
+    for si, ti in key:
+        out = _mul(out, binomials[si][ti])
+    return out
 
 
 def _hn_numerators(
@@ -107,10 +120,7 @@ def _hn_numerators(
             key = tuple((si, ti) for ti, si in zip(t, s) if 0 < ti < si)
             factor = factors.get(key)
             if factor is None:
-                factor = {0: 1}
-                for si, ti in key:
-                    factor = _mul(factor, binomials[si][ti])
-                factors[key] = factor
+                factor = factors[key] = _binomial_product(binomials, key)
             for p1, c1 in g.items():
                 for p2, c2 in factor.items():
                     p = p1 + p2 + shift
@@ -123,15 +133,20 @@ def _hn_numerators(
     return numerators
 
 
-def _p_value(numerator: dict[int, int], e: DimVector) -> RatFunc:
-    """p_e = -G(e) / [e]!, canonicalized once; x = q^-1 is v^-2."""
-    den = {0: 1}
+def _factorial(e: DimVector) -> dict[int, int]:
+    """[e]! = prod_i prod_{j=1}^{e_i} (1 - x^j), as {power of x: coefficient}."""
+    out = {0: 1}
     for di in e:
         for j in range(1, di + 1):
-            den = _mul(den, {0: 1, j: -1})
+            out = _mul(out, {0: 1, j: -1})
+    return out
+
+
+def _p_value(numerator: dict[int, int], e: DimVector) -> RatFunc:
+    """p_e = -G(e) / [e]!, canonicalized once; x = q^-1 is v^-2."""
     return RatFunc.from_ratio(
         HalfLaurent({-2 * k: -c for k, c in numerator.items()}),
-        HalfLaurent({-2 * k: c for k, c in den.items()}),
+        HalfLaurent({-2 * k: c for k, c in _factorial(e).items()}),
     )
 
 
@@ -196,26 +211,79 @@ def dt_invariants(
 ) -> dict[DimVector, RatFunc]:
     """q-Donaldson-Thomas invariants for all slope-zero exponents up to d.
 
-    Builds the generating series 1 + sum (-v)^(form(e,e)) p_e t^e over
-    nonzero e <= d with normalized weight zero, applies the plethystic
-    logarithm and rescales by q^(-1/2) - q^(1/2). Returns the coefficient
-    at every such exponent. All the p_e come from one pass of the
-    recursion of p_poly over the box of d: with the normalized weight,
-    the partial-sum condition is positivity for every such target e.
+    The invariants are the coefficients of (v^-1 - v) Log S, where Log is
+    the plethystic logarithm and S = 1 + sum (-v)^(form(e,e)) p_e t^e over
+    the nonzero e <= d of normalized weight zero. All the p_e come from one
+    pass of the recursion of p_poly over the box of d: with the normalized
+    weight, the partial-sum condition is positivity for every such e.
+
+    Every coefficient at e is kept multiplied by [e]! as an integer
+    Laurent polynomial in v, so S_N(e) = -(-v)^(form(e,e)) G(e), and a
+    product of series becomes a convolution with Gaussian binomials:
+    (AB)_N(e) = sum_{e1 + e2 = e} [e choose e1] A_N(e1) B_N(e2). The grading
+    derivation t^e -> |e| t^e turns D S = S * D(log S) into
+
+        M(e) = |e| S_N(e) - sum_{0 < e1 < e} [e choose e1] M(e1) S_N(e - e1)
+
+    for M(e) = |e| [e]! (log S)_e, one step per pair of slope-zero cells.
+    The Moebius inversion of the Adams operations then reads
+
+        |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(x -> x^m),
+
+    and the last factor is the product of (1 - x^k) over k <= e_i with m not
+    dividing k. No gcd is taken until the end: each invariant is
+    canonicalized once, by one RatFunc.from_ratio with denominator |e| [e]!.
     """
     tnorm = normalize_stability(theta, d)
     numerators = _hn_numerators(q, d, tnorm, max_box)
-    exponents = list(numerators)
-    zero = DimVector((0,) * len(d))
-    terms: dict[DimVector, RatFunc] = {zero: RatFunc.one()}
-    for e in exponents:
-        se = q.euler_form(e, e)
-        sign_twist = RatFunc.v_power(se) * (1 if se % 2 == 0 else -1)
-        terms[e] = sign_twist * _p_value(numerators[e], e)
-    series = SlopeSeries(d, terms)
-    rescale = RatFunc.v_power(-1) - RatFunc.v_power(1)
-    dt_series = pleth_log(series) * rescale
-    return {e: dt_series.coefficient(e) for e in exponents}
+    euler = q.euler_matrix()
+    n = len(d)
+    # S_N(e) = -(-v)^form(e,e) G(e), keyed by v-power
+    series: dict[tuple[int, ...], dict[int, int]] = {}
+    for e, g in numerators.items():
+        s = e.coords
+        form_ee = sum(s[i] * euler[i][j] * s[j] for i in range(n) for j in range(n))
+        sign = 1 if form_ee % 2 else -1
+        series[s] = {form_ee - 2 * k: sign * c for k, c in g.items()}
+    binomials = _gaussian_binomials(max(d))
+    factors: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    # M(e), cells in ascending lexicographic order, so every e1 < e comes first
+    logs: dict[tuple[int, ...], dict[int, int]] = {}
+    for s, s_n in series.items():
+        size = sum(s)
+        acc = {p: size * c for p, c in s_n.items()}
+        for t, m_t in logs.items():
+            if any(a > b for a, b in zip(t, s)):
+                continue
+            key = tuple((si, ti) for ti, si in zip(t, s) if 0 < ti < si)
+            factor = factors.get(key)
+            if factor is None:
+                product = _binomial_product(binomials, key)
+                factor = factors[key] = {-2 * k: c for k, c in product.items()}
+            rest = series[tuple(si - ti for si, ti in zip(s, t))]
+            for p1, c1 in _mul(factor, m_t).items():
+                for p2, c2 in rest.items():
+                    acc[p1 + p2] = acc.get(p1 + p2, 0) - c1 * c2
+        logs[s] = {p: c for p, c in acc.items() if c}
+    rescale = HalfLaurent({-1: 1, 1: -1})
+    invariants: dict[DimVector, RatFunc] = {}
+    for e in numerators:
+        s = e.coords
+        acc: dict[int, int] = {}  # |e| [e]! (Log S)_e
+        for m in range(1, max(s) + 1):
+            mu = _mobius(m)
+            if not mu or any(si % m for si in s):
+                continue
+            term = {p * m: mu * c for p, c in logs[tuple(si // m for si in s)].items()}
+            for si in s:
+                for k in range(1, si + 1):
+                    if k % m:
+                        term = _mul(term, {0: 1, -2 * k: -1})
+            for p, c in term.items():
+                acc[p] = acc.get(p, 0) + c
+        den = {-2 * k: sum(s) * c for k, c in _factorial(e).items()}
+        invariants[e] = RatFunc.from_ratio(rescale * HalfLaurent(acc), HalfLaurent(den))
+    return invariants
 
 
 def ic_poincare_dt(

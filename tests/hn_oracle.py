@@ -92,10 +92,11 @@ def p_by_decompositions(q: Quiver, d: DimVector, theta: Stability) -> RatFunc:
 
 
 @st.composite
-def hn_problems(draw, max_cells: int = 24):
-    """(quiver, d, theta): 2-4 vertices, arrow and loop counts 0-3, a box of
-    at most max_cells cells and weights in [-3, 3], theta = 0 included."""
-    n = draw(st.integers(2, 4))
+def hn_problems(draw, max_cells: int = 24, vertices: tuple[int, int] = (2, 4)):
+    """(quiver, d, theta): vertices[0]-vertices[1] vertices, arrow and loop
+    counts 0-3, a box of at most max_cells cells and weights in [-3, 3],
+    theta = 0 included."""
+    n = draw(st.integers(*vertices))
     arrows = [[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)]
     coords, cells = [], 1
     for _ in range(n):

@@ -73,6 +73,14 @@ class TestIc:
         assert payload["result"]["v_powers"] == v_powers
         assert payload["routes_agree"] is True
 
+    # Rungs out of reach of the series-log oracle: the DT route is checked
+    # against the independent resolution route at full size.
+    @pytest.mark.parametrize("spec", ["levi_adjoint:7", "determinantal:8,8"])
+    def test_large_rungs_routes_agree(self, capsys, spec):
+        code, out, _ = run(capsys, ["ic", "--example", spec, "--json"])
+        assert code == 0
+        assert '"routes_agree": true' in out
+
     def test_pretty_output(self, capsys):
         code, out, _ = run(capsys, ["ic", "--example", "determinantal:2,1"])
         assert code == 0
@@ -104,6 +112,20 @@ class TestExitCodes:
         )
         code, _, err = run(capsys, ["info", str(bad)])
         assert code == 1
+
+    def test_unknown_field_is_refused(self, capsys, monkeypatch):
+        problem = dict(KRONECKER2_PROBLEM, deformed_stabilty=[1, -1])
+        code, out, err = run_stdin_json(capsys, monkeypatch, ["ic"], problem)
+        assert code == 1 and out is None
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+        assert "deformed_stabilty" in err
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_box_must_be_positive(self, capsys, value):
+        code, out, err = run(capsys, ["info", "--example", "levi_adjoint:2", f"--max-box={value}"])
+        assert code == 1 and out == ""
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+        assert "--max-box" in err
 
     def test_box_guard(self, capsys, tmp_path):
         problem = tmp_path / "problem.json"

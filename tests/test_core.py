@@ -169,7 +169,67 @@ class TestCoprime:
             is_coprime(Stability((1, -1)), DimVector((100, 100)), max_box=100)
 
 
+def symmetric_by_kernel_basis(q, theta):
+    """Oracle: the skew form vanishes on every pair of an integer kernel basis.
+
+    For theta = 0 the basis is the unit vectors; otherwise it is
+    theta_p e_i - theta_i e_p for i != p, p the first nonzero weight.
+    """
+    n = q.n
+    nonzero = [i for i in range(n) if theta[i] != 0]
+    if not nonzero:
+        basis = [[int(k == i) for k in range(n)] for i in range(n)]
+    else:
+        p = nonzero[0]
+        basis = []
+        for i in range(n):
+            if i != p:
+                vec = [0] * n
+                vec[i], vec[p] = theta[p], -theta[i]
+                basis.append(vec)
+    skew = q.skew_matrix()
+    return all(
+        sum(skew[i][j] * a[i] * b[j] for i in range(n) for j in range(n)) == 0
+        for a in basis
+        for b in basis
+    )
+
+
+def random_kernel_problem(rng):
+    """A quiver on 1-6 vertices and a stability, theta = 0 one time in four.
+
+    Half of the quivers are built to be symmetric on the kernel: their
+    skew form is eta (x) theta - theta (x) eta for a random eta, plus
+    arbitrary symmetric arrows.
+    """
+    n = rng.randint(1, 6)
+    theta = [0] * n if rng.random() < 0.25 else [rng.randint(-3, 3) for _ in range(n)]
+    arrows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.5:
+        eta = [rng.randint(-2, 2) for _ in range(n)]
+        # arrows[j][i] - arrows[i][j] becomes eta_i theta_j - theta_i eta_j
+        arrows = [
+            [
+                min(arrows[i][j], arrows[j][i]) + max(0, theta[i] * eta[j] - eta[i] * theta[j])
+                for j in range(n)
+            ]
+            for i in range(n)
+        ]
+    return Quiver.from_matrix(arrows), Stability(tuple(theta))
+
+
 class TestSymmetricOnKernel:
+    def test_matches_kernel_basis_oracle(self):
+        rng = random.Random(2024)
+        verdicts = set()
+        for _ in range(400):
+            q, theta = random_kernel_problem(rng)
+            verdict = symmetric_on_kernel(q, theta)
+            assert verdict == symmetric_by_kernel_basis(q, theta)
+            if q.n > 1:
+                verdicts.add((verdict, theta.is_zero))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
     def test_symmetric_quiver(self):
         for theta in [Stability((0, 0)), Stability((1, -1)), Stability((2, 3))]:
             assert symmetric_on_kernel(kronecker(2, 2), theta)
