@@ -173,17 +173,18 @@ class Quiver:
             raise ValueError("vector length does not match the quiver")
 
     def euler_form(self, d: DimVector, e: DimVector) -> int:
-        """Bilinear form sum_i d_i e_i - sum_{arrows i->j} d_i e_j."""
+        """Bilinear form sum_i d_i e_i - sum_{arrows i->j} d_i e_j.
+
+        Computed row by row as sum_i d_i (e_i - arrows[i] . e).
+        """
         self._check(d)
         self._check(e)
-        lin = sum(a * b for a, b in zip(d, e))
-        arr = sum(
-            self.arrows[i][j] * d[i] * e[j]
-            for i in range(self.n)
-            for j in range(self.n)
-            if self.arrows[i][j]
+        ec = e.coords
+        return sum(
+            di * (ei - sum(a * b for a, b in zip(row, ec)))
+            for di, ei, row in zip(d.coords, ec, self.arrows)
+            if di
         )
-        return lin - arr
 
     def antisym_form(self, d: DimVector, e: DimVector) -> int:
         """Antisymmetrization euler_form(d, e) - euler_form(e, d)."""

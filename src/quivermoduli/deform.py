@@ -4,7 +4,9 @@ A deformed stability must keep every strictly destabilizing subvector
 strictly destabilizing, must not produce new nonpositive values on
 subvectors, and must separate d from all its proper subvectors
 (coprimality). Such a deformation always exists for indivisible d and is
-constructed here by an explicit search.
+constructed here by an explicit search for a separating covector eta,
+which solves eta(d) = 0 for one coordinate instead of enumerating it.
+Every constructed deformation is verified by is_generic_deformation.
 """
 
 from __future__ import annotations
@@ -86,18 +88,29 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
     Deterministic: increasing sup-norm, ties broken lexicographically with
     coordinates ordered 0 < 1 < -1 < 2 < -2 < ...; this keeps coefficients
     small and the output reproducible.
+
+    Only the coordinates other than k, the last index with d_k != 0, are
+    enumerated: eta(d) = 0 leaves x_k = -sum_{i<k} x_i d_i / d_k, kept when
+    it is an integer with |x_k| <= the sup-norm. The coordinates after k
+    meet d in zeros, and x_k is a function of the coordinates before it,
+    so the candidates come in the order of the full enumeration. The
+    enumeration itself is the test oracle in tests/deform_oracle.py.
     """
-    n = len(d)
+    coords = d.coords
+    k = max(i for i, c in enumerate(coords) if c)
+    head, dk = coords[:k], coords[k]
+    vectors = [e.coords for e in critical]
     for bound in range(1, max_norm + 1):
         values = sorted(range(-bound, bound + 1), key=_coord_key)
-        for combo in product(values, repeat=n):
-            if max(abs(x) for x in combo) != bound:
+        for others in product(values, repeat=len(coords) - 1):
+            xk, rest = divmod(-sum(x * c for x, c in zip(others, head)), dk)
+            if rest or abs(xk) > bound:
                 continue
-            eta = Stability(combo)
-            if eta(d) != 0:
+            eta = others[:k] + (xk,) + others[k:]
+            if max(abs(x) for x in eta) != bound:
                 continue
-            if all(eta(e) != 0 for e in critical):
-                return eta
+            if all(sum(x * c for x, c in zip(eta, e)) for e in vectors):
+                return Stability(eta)
     raise EtaSearchExhausted(max_norm)
 
 

@@ -7,14 +7,24 @@ a local quiver whose nilpotent semistable moduli space models the fibre
 of the desingularization over the stratum, and the certification below
 verifies, type by type, that the fibre-dimension bound stays within half
 the stratum codimension bound, strictly so away from the dense stratum.
+Once the two hypotheses of the certification hold this always succeeds,
+so the verdict is decided by the hypotheses; the per-type bounds are
+still computed and checked.
+
+Every bound is a function of the form chi(p, p') on the parts of a type.
+One walk over the types reads chi from a single table, filled on demand
+with the pairs of parts that occur; the public per-type bounds build such
+a table for their one type and run the same helpers.
 
 All bounds are exact half-integers (Fractions with denominator 1 or 2).
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .core import (
     DEFAULT_MAX_BOX,
@@ -30,6 +40,9 @@ from .deform import is_generic_deformation
 from .errors import InternalCheckError, NegativeArrowCountError, PreconditionError
 
 HALF = Fraction(1, 2)
+
+# chi(p, p') for dimension vectors p, p' of one quiver, as _euler_table gives it
+_EulerTable = Callable[[DimVector, DimVector], int]
 
 
 @dataclass(frozen=True)
@@ -118,19 +131,33 @@ def luna_types(
     return out
 
 
-def _local_arrow_matrix(q: Quiver, xi: LunaType) -> list[list[int]]:
+def _euler_table(q: Quiver) -> _EulerTable:
+    """The form chi(p, p') of q, each pair computed on first use and kept.
+
+    One table serves one walk over decomposition types, so it holds the
+    Gram table of exactly the parts that occur there; nothing is computed
+    eagerly over all candidate pairs.
+    """
+    return cache(q.euler_form)
+
+
+def _local_quiver(chi: _EulerTable, xi: LunaType) -> tuple[Quiver, DimVector]:
     parts = [p for p, _ in xi.parts]
-    s = len(parts)
     matrix = []
-    for k in range(s):
+    for k, pk in enumerate(parts):
         row = []
-        for l in range(s):
-            count = (1 if k == l else 0) - q.euler_form(parts[k], parts[l])
+        for l, pl in enumerate(parts):
+            count = (1 if k == l else 0) - chi(pk, pl)
             if count < 0:
                 raise NegativeArrowCountError(k, l, count)
             row.append(count)
-        matrix.append(row)
-    return matrix
+        matrix.append(tuple(row))
+    vertices = tuple(f"u{k + 1}" for k in range(len(parts)))
+    return Quiver(vertices, tuple(matrix)), DimVector(tuple(m for _, m in xi.parts))
+
+
+def _local_stability(xi: LunaType, theta_prime: Stability) -> Stability:
+    return Stability(tuple(theta_prime(p) for p, _ in xi.parts))
 
 
 def local_quiver(
@@ -144,12 +171,8 @@ def local_quiver(
     raises NegativeArrowCountError: no tuple of pairwise non-isomorphic
     same-slope stables can realize such a type.
     """
-    matrix = _local_arrow_matrix(q, xi)
-    s = len(xi.parts)
-    vertices = tuple(f"u{k + 1}" for k in range(s))
-    dim = DimVector(tuple(m for _, m in xi.parts))
-    stab = Stability(tuple(theta_prime(p) for p, _ in xi.parts))
-    return Quiver(vertices, tuple(tuple(row) for row in matrix)), dim, stab
+    lq, ld = _local_quiver(_euler_table(q), xi)
+    return lq, ld, _local_stability(xi, theta_prime)
 
 
 def nullcone_dim_bound(q: Quiver, d: DimVector) -> Fraction:
@@ -164,10 +187,18 @@ def nullcone_dim_bound(q: Quiver, d: DimVector) -> Fraction:
     return -HALF * q.euler_form(d, d) + HALF * loop_term - d.total
 
 
-def _fiber_bound_value(q: Quiver, xi: LunaType) -> Fraction:
-    d = xi.total()
-    self_terms = sum(q.euler_form(p, p) * m for p, m in xi.parts)
-    return -HALF * q.euler_form(d, d) + HALF * self_terms - xi.summand_count + 1
+def _fiber_bound(
+    chi: _EulerTable, d: DimVector, xi: LunaType, local: Quiver, local_dim: DimVector
+) -> Fraction:
+    # the direct formula reads chi(d, d) as one table entry, while the
+    # local quiver's form expands it over the parts: an independent check
+    if not local.is_symmetric:
+        raise PreconditionError("local quiver is not symmetric")
+    self_terms = sum(chi(p, p) * m for p, m in xi.parts)
+    direct = -HALF * chi(d, d) + HALF * self_terms - xi.summand_count + 1
+    if direct != nullcone_dim_bound(local, local_dim) + 1:
+        raise InternalCheckError("fibre bound disagrees with the local-quiver bound")
+    return direct
 
 
 def fiber_dim_bound(q: Quiver, xi: LunaType) -> Fraction:
@@ -178,35 +209,31 @@ def fiber_dim_bound(q: Quiver, xi: LunaType) -> Fraction:
     nilpotent-moduli bound evaluated on the local quiver itself; the two
     must agree exactly.
     """
-    matrix = _local_arrow_matrix(q, xi)
-    s = len(matrix)
-    if any(matrix[k][l] != matrix[l][k] for k in range(s) for l in range(s)):
-        raise PreconditionError("local quiver is not symmetric")
-    direct = _fiber_bound_value(q, xi)
-    local = Quiver.from_matrix(matrix)
-    local_dim = DimVector(tuple(m for _, m in xi.parts))
-    corollary = nullcone_dim_bound(local, local_dim) + 1
-    if direct != corollary:
-        raise InternalCheckError("fibre bound disagrees with the local-quiver bound")
-    return direct
+    chi = _euler_table(q)
+    return _fiber_bound(chi, xi.total(), xi, *_local_quiver(chi, xi))
+
+
+def _require_total(d: DimVector, xi: LunaType) -> None:
+    if xi.total() != d:
+        raise ValueError("decomposition type does not sum to d")
+
+
+def _codim_bound(chi: _EulerTable, d: DimVector, xi: LunaType) -> int:
+    return 1 - chi(d, d) - sum(1 - chi(p, p) for p, _ in xi.parts)
 
 
 def codim_lower_bound(q: Quiver, d: DimVector, xi: LunaType) -> int:
     """Lower bound 1 - form(d,d) - sum_k (1 - form(d^k,d^k)) for the codimension."""
-    if xi.total() != d:
-        raise ValueError("decomposition type does not sum to d")
-    return (
-        1
-        - q.euler_form(d, d)
-        - sum(1 - q.euler_form(p, p) for p, _ in xi.parts)
-    )
+    _require_total(d, xi)
+    return _codim_bound(_euler_table(q), d, xi)
 
 
-def _margin_value(q: Quiver, xi: LunaType) -> Fraction:
-    part_term = sum(
-        (1 - q.euler_form(p, p)) * (m - 1) for p, m in xi.parts
-    )
-    return -HALF * part_term - HALF * (xi.summand_count - 1)
+def _margin(chi: _EulerTable, xi: LunaType, fiber: Fraction, codim: int) -> Fraction:
+    part_term = sum((1 - chi(p, p)) * (m - 1) for p, m in xi.parts)
+    margin = -HALF * part_term - HALF * (xi.summand_count - 1)
+    if margin != fiber - HALF * codim:
+        raise InternalCheckError("margin identity failed")
+    return margin
 
 
 def smallness_margin(q: Quiver, d: DimVector, xi: LunaType) -> Fraction:
@@ -216,12 +243,10 @@ def smallness_margin(q: Quiver, d: DimVector, xi: LunaType) -> Fraction:
     one. The closed form is verified per call against
     fiber_dim_bound - codim_lower_bound / 2.
     """
-    margin = _margin_value(q, xi)
-    fiber = fiber_dim_bound(q, xi)
-    codim = codim_lower_bound(q, d, xi)
-    if margin != fiber - HALF * codim:
-        raise InternalCheckError("margin identity failed")
-    return margin
+    _require_total(d, xi)
+    chi = _euler_table(q)
+    fiber = _fiber_bound(chi, d, xi, *_local_quiver(chi, xi))
+    return _margin(chi, xi, fiber, _codim_bound(chi, d, xi))
 
 
 @dataclass(frozen=True)
@@ -240,25 +265,26 @@ class StratumRecord:
 
 
 def _stratum_record(
-    q: Quiver, d: DimVector, xi: LunaType, theta_prime: Stability
+    chi: _EulerTable, d: DimVector, xi: LunaType, theta_prime: Stability
 ) -> StratumRecord:
-    codim = codim_lower_bound(q, d, xi)
-    bad = [p for p, _ in xi.parts if q.euler_form(p, p) > 1]
+    codim = _codim_bound(chi, d, xi)
+    bad = [p for p, _ in xi.parts if chi(p, p) > 1]
     if bad:
         reason = (
             f"part {bad[0]} has negative expected stable moduli dimension "
-            f"({1 - q.euler_form(bad[0], bad[0])})"
+            f"({1 - chi(bad[0], bad[0])})"
         )
         return StratumRecord(xi, True, reason, None, None, None, None, codim, None)
     try:
-        lq, ld, ls = local_quiver(q, xi, theta_prime)
+        lq, ld = _local_quiver(chi, xi)
     except NegativeArrowCountError as exc:
         return StratumRecord(xi, True, str(exc), None, None, None, None, codim, None)
+    ls = _local_stability(xi, theta_prime)
     try:
-        fiber = fiber_dim_bound(q, xi)
+        fiber = _fiber_bound(chi, d, xi, lq, ld)
     except PreconditionError as exc:
         return StratumRecord(xi, True, str(exc), lq, ld, ls, None, codim, None)
-    margin = smallness_margin(q, d, xi)
+    margin = _margin(chi, xi, fiber, codim)
     return StratumRecord(xi, False, None, lq, ld, ls, fiber, codim, margin)
 
 
@@ -277,9 +303,17 @@ def stratum_records(
     or when its local quiver is not symmetric (the local data is kept).
     Every other type gets its local quiver, fibre bound and margin. No
     hypothesis of certify_smallness is checked here.
+
+    The walk reads the form from one table filled on demand, so each pair
+    of parts costs one euler_form call however many types share it, and
+    each record builds its local quiver once. Every record still
+    cross-checks its fibre bound against the nullcone bound of its local
+    quiver, and its margin against fibre - codim / 2.
     """
+    chi = _euler_table(q)
     return tuple(
-        _stratum_record(q, d, xi, theta_prime) for xi in luna_types(q, d, theta, max_box)
+        _stratum_record(chi, d, xi, theta_prime)
+        for xi in luna_types(q, d, theta, max_box)
     )
 
 
@@ -287,10 +321,11 @@ def stratum_records(
 class SmallnessReport:
     """Outcome of a smallness certification.
 
-    verdict is "Certified", "NotCertified" or "NotApplicable" (hypothesis
-    failed); reasons explain the latter two. Certified means every
-    unfiltered type has margin <= 0 with equality exactly on the trivial
-    type. The stable-nonemptiness assumption is echoed, never checked.
+    verdict is "Certified" or "NotApplicable" (a hypothesis failed, as
+    reasons explain); the two hypotheses of certify_smallness decide it.
+    Certified means every unfiltered type has margin <= 0 with equality
+    exactly on the trivial type. The stable-nonemptiness assumption is
+    echoed, never checked.
     """
 
     verdict: str
@@ -323,6 +358,11 @@ def certify_smallness(
     every part lies in the kernel where the form is symmetric. The
     enumeration is a superset of the actually nonempty strata, so a
     Certified verdict is sound.
+
+    Once both hypotheses hold, the verdict is Certified: every part of an
+    unfiltered type has form(p, p) <= 1, so its margin is at most
+    -(N - 1)/2 for N summands, which is negative on every nontrivial type.
+    A margin that breaks this raises InternalCheckError.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -335,21 +375,14 @@ def certify_smallness(
     if not kernel_sym:
         reasons.append("form is not symmetric on the kernel of the stability")
     records = () if reasons else stratum_records(q, d, theta, theta_prime, max_box)
-    offenders = [
-        f"type {rec.luna_type} has margin {rec.margin}"
-        for rec in records
-        if not rec.filtered
-        and (rec.margin > 0 or (rec.margin == 0 and not rec.luna_type.is_trivial))
-    ]
-    if reasons:
-        verdict = "NotApplicable"
-    elif offenders:
-        verdict = "NotCertified"
-    else:
-        verdict = "Certified"
+    for rec in records:
+        if not rec.filtered and (
+            rec.margin > 0 or (rec.margin == 0 and not rec.luna_type.is_trivial)
+        ):
+            raise InternalCheckError(f"type {rec.luna_type} has margin {rec.margin}")
     return SmallnessReport(
-        verdict=verdict,
-        reasons=tuple(reasons + offenders),
+        verdict="NotApplicable" if reasons else "Certified",
+        reasons=tuple(reasons),
         records=records,
         assume_stable_nonempty=assume_stable_nonempty,
         kernel_symmetric=kernel_sym,

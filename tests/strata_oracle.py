@@ -1,0 +1,69 @@
+"""Test oracle for stratum_records: every field from per-call Euler forms.
+
+``stratum_records_per_call`` walks the same luna_types and fills each
+StratumRecord field straight from its formula, calling ``q.euler_form``
+afresh for every value, with no table shared between types. The package
+reads the form from one table per walk instead.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from quivermoduli import (
+    DimVector,
+    LunaType,
+    NegativeArrowCountError,
+    Quiver,
+    Stability,
+    StratumRecord,
+    luna_types,
+)
+
+HALF = Fraction(1, 2)
+
+
+def _record(q: Quiver, d: DimVector, xi: LunaType, theta_prime: Stability) -> StratumRecord:
+    parts = [p for p, _ in xi.parts]
+    codim = 1 - q.euler_form(d, d) - sum(1 - q.euler_form(p, p) for p in parts)
+    bad = [p for p in parts if q.euler_form(p, p) > 1]
+    if bad:
+        reason = (
+            f"part {bad[0]} has negative expected stable moduli dimension "
+            f"({1 - q.euler_form(bad[0], bad[0])})"
+        )
+        return StratumRecord(xi, True, reason, None, None, None, None, codim, None)
+    s = len(parts)
+    matrix = [
+        [(1 if k == l else 0) - q.euler_form(parts[k], parts[l]) for l in range(s)]
+        for k in range(s)
+    ]
+    negative = [(k, l) for k in range(s) for l in range(s) if matrix[k][l] < 0]
+    if negative:
+        k, l = negative[0]
+        reason = str(NegativeArrowCountError(k, l, matrix[k][l]))
+        return StratumRecord(xi, True, reason, None, None, None, None, codim, None)
+    lq = Quiver(tuple(f"u{k + 1}" for k in range(s)), tuple(map(tuple, matrix)))
+    ld = DimVector(tuple(m for _, m in xi.parts))
+    ls = Stability(tuple(theta_prime(p) for p in parts))
+    if any(matrix[k][l] != matrix[l][k] for k in range(s) for l in range(s)):
+        return StratumRecord(
+            xi, True, "local quiver is not symmetric", lq, ld, ls, None, codim, None
+        )
+    count = xi.summand_count
+    fiber = (
+        -HALF * q.euler_form(d, d)
+        + HALF * sum(q.euler_form(p, p) * m for p, m in xi.parts)
+        - count
+        + 1
+    )
+    margin = -HALF * sum((1 - q.euler_form(p, p)) * (m - 1) for p, m in xi.parts) - HALF * (
+        count - 1
+    )
+    return StratumRecord(xi, False, None, lq, ld, ls, fiber, codim, margin)
+
+
+def stratum_records_per_call(
+    q: Quiver, d: DimVector, theta: Stability, theta_prime: Stability
+) -> tuple[StratumRecord, ...]:
+    return tuple(_record(q, d, xi, theta_prime) for xi in luna_types(q, d, theta))

@@ -58,6 +58,30 @@ class TestEulerForm:
         with pytest.raises(ValueError):
             q.euler_form(DimVector((1, 1, 1)), DimVector((1, 1)))
 
+    def test_matches_definitional_double_sum(self):
+        # loops and asymmetric arrows, zero vectors included
+        rng = random.Random(11)
+        zeros = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+
+            def draw(p):
+                return [rng.randrange(1, 4) if rng.random() < p else 0 for _ in range(n)]
+
+            a = [draw(0.6) for _ in range(n)]
+            q = Quiver.from_matrix(a)
+            d, e = DimVector(tuple(draw(0.7))), DimVector(tuple(draw(0.7)))
+            zeros += d.is_zero or e.is_zero
+            expected = sum(d[i] * e[i] for i in range(n)) - sum(
+                a[i][j] * d[i] * e[j] for i in range(n) for j in range(n)
+            )
+            assert q.euler_form(d, e) == expected
+            with pytest.raises(ValueError):
+                q.euler_form(d, DimVector(e.coords + (1,)))
+            with pytest.raises(ValueError):
+                q.euler_form(DimVector(d.coords + (0,)), e)
+        assert zeros >= 10
+
     def test_bilinearity(self):
         rng = random.Random(7)
         q = Quiver.from_matrix([[1, 2, 0], [0, 0, 3], [1, 0, 0]])

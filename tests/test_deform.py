@@ -1,16 +1,24 @@
 import random
+from math import gcd
 
 import pytest
+from deform_oracle import search_eta_by_enumeration
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import (
     DimVector,
+    EtaSearchExhausted,
     PreconditionError,
     Stability,
+    box_iter,
     generic_deformation,
     is_coprime,
     is_generic_deformation,
     is_indivisible,
+    normalize_stability,
 )
+from quivermoduli.deform import _search_eta
 
 
 class TestIsGenericDeformation:
@@ -100,3 +108,37 @@ class TestGenericDeformation:
             assert is_generic_deformation(theta, theta_prime, d).passed
             assert is_coprime(theta_prime, d)
             checked += 1
+
+
+def _eta_outcome(search, d, critical, max_norm):
+    try:
+        return search(d, critical, max_norm)
+    except EtaSearchExhausted as exc:
+        return ("exhausted", exc.bound)
+
+
+@st.composite
+def eta_problems(draw):
+    """Indivisible d on 1-5 vertices with coordinates 0-3, trailing zeros
+    allowed, the critical set of a random stability normalized on d, and a
+    sup-norm bound of 1-3."""
+    n = draw(st.integers(1, 5))
+    coords = tuple(draw(st.integers(0, 3)) for _ in range(n))
+    assume(gcd(*coords) == 1)
+    weights = tuple(draw(st.integers(-3, 3)) for _ in range(n))
+    return DimVector(coords), Stability(weights), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(eta_problems())
+# the solved coordinate is not the last one, and has d_k > 1
+@example((DimVector((1, 3, 0, 0)), Stability((3, -1, 2, 0)), 3))
+@example((DimVector((0, 2, 3, 0)), Stability((0, 0, 0, 1)), 2))
+# one vertex: nothing but eta = 0 vanishes on d, so the search exhausts
+@example((DimVector((1,)), Stability((0,)), 3))
+def test_solved_coordinate_matches_enumeration(problem):
+    d, theta, max_norm = problem
+    tnorm = normalize_stability(theta, d)
+    critical = [e for e in box_iter(d) if not e.is_zero and e != d and tnorm(e) == 0]
+    expected = _eta_outcome(search_eta_by_enumeration, d, critical, max_norm)
+    assert _eta_outcome(_search_eta, d, critical, max_norm) == expected

@@ -1,10 +1,17 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
+from hn_oracle import hn_problems
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from strata_oracle import stratum_records_per_call
 
+import quivermoduli.strata as strata_module
 from quivermoduli import (
     DimVector,
+    InternalCheckError,
     LunaType,
     NegativeArrowCountError,
     PreconditionError,
@@ -22,6 +29,7 @@ from quivermoduli import (
     smallness_margin,
     stratum_records,
 )
+from quivermoduli.catalog import example_from_spec
 
 HALF = Fraction(1, 2)
 
@@ -268,6 +276,18 @@ class TestCertify:
                 assert is_coprime(rec.local_stability, rec.local_dim)
 
 
+    def test_offending_margin_is_an_internal_error(self, monkeypatch):
+        q, d = complete_with_loops(3), DimVector((1, 1, 1))
+        theta, theta_prime = Stability((0, 0, 0)), Stability((2, -1, -1))
+        broken = tuple(
+            rec if rec.luna_type.is_trivial else dataclasses.replace(rec, margin=Fraction(0))
+            for rec in stratum_records(q, d, theta, theta_prime)
+        )
+        monkeypatch.setattr(strata_module, "stratum_records", lambda *args: broken)
+        with pytest.raises(InternalCheckError, match="has margin 0"):
+            certify_smallness(q, d, theta, theta_prime)
+
+
 class TestStratumRecords:
     def test_follows_luna_types_order(self):
         q = complete_with_loops(3)
@@ -319,6 +339,10 @@ class TestStratumRecords:
             several_types += len(report.records) > 1
             assert report.records == stratum_records(q, d, theta, theta_prime)
             assert all(rec.reason != "local quiver is not symmetric" for rec in report.records)
+            # the bound that makes the verdict depend on the hypotheses alone
+            for rec in report.records:
+                if not rec.filtered:
+                    assert rec.margin <= -HALF * (rec.luna_type.summand_count - 1)
         assert reached >= 50 and several_types >= 10
 
     def test_non_symmetric_local_quiver_needs_kernel_asymmetry(self):
@@ -330,3 +354,34 @@ class TestStratumRecords:
         assert reasons == [None, "local quiver is not symmetric"]
         report = certify_smallness(q, d, theta, theta_prime)
         assert report.verdict == "NotApplicable" and not report.kernel_symmetric
+
+
+class TestEulerTable:
+    """stratum_records reads one table per walk; the oracle calls the form per value."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "levi_adjoint:2",
+            "levi_adjoint:3",
+            "levi_adjoint:4",
+            "levi_adjoint:5",
+            "determinantal:3,2",
+            "points:4,2",
+        ],
+    )
+    def test_catalog_matches_per_call_forms(self, spec):
+        q, d, theta, deformed = example_from_spec(spec)[2]
+        tnorm = normalize_stability(theta, d)
+        theta_prime = deformed if deformed is not None else generic_deformation(tnorm, d)
+        records = stratum_records(q, d, theta, theta_prime)
+        assert len(records) > 1
+        assert records == stratum_records_per_call(q, d, theta, theta_prime)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(hn_problems(), st.data())
+    def test_random_problems_match_per_call_forms(self, problem, data):
+        q, d, theta = problem
+        theta_prime = Stability(data.draw(st.tuples(*[st.integers(-3, 3)] * len(d))))
+        records = stratum_records(q, d, theta, theta_prime)
+        assert records == stratum_records_per_call(q, d, theta, theta_prime)
