@@ -140,32 +140,7 @@ def kronecker_general(m: int, n: int) -> QuiverSetup:
     return QuiverSetup(quiver, DimVector((1, 1)), Stability((0, 0)), Stability((1, -1)))
 
 
-#: CLI-addressable families: name -> (builder over an integer list, parameter doc).
-FAMILIES = {
-    "determinantal": (
-        lambda params: determinantal(*params),
-        "m,r with 1 <= r <= m",
-    ),
-    "points": (
-        lambda params: point_configurations(*params),
-        "m,d with m >= 1 and d >= 2",
-    ),
-    "levi_adjoint": (
-        lambda params: levi_adjoint(*params),
-        "l (torus case, all-ones), or block sizes d1,...,dl",
-    ),
-    "bipartite": (
-        lambda params: _bipartite_from_params(params),
-        "k,l,v1,...,vk,w1,...,wl (block counts then block sizes)",
-    ),
-    "kronecker_general": (
-        lambda params: kronecker_general(*params),
-        "m,n (arrow counts in the two directions)",
-    ),
-}
-
-
-def _bipartite_from_params(params: Sequence[int]) -> QuiverSetup:
+def _bipartite_from_params(*params: int) -> QuiverSetup:
     params = [int(x) for x in params]
     if len(params) < 2:
         raise ValueError("bipartite needs k,l followed by k + l block sizes")
@@ -173,6 +148,20 @@ def _bipartite_from_params(params: Sequence[int]) -> QuiverSetup:
     if len(params) != 2 + k + l:
         raise ValueError(f"bipartite with k={k}, l={l} needs exactly {k + l} block sizes")
     return complete_bipartite(params[2 : 2 + k], params[2 + k :])
+
+
+#: CLI-addressable families: name -> (builder called with the integer
+#: parameters as positional arguments, parameter doc).
+FAMILIES = {
+    "determinantal": (determinantal, "m,r with 1 <= r <= m"),
+    "points": (point_configurations, "m,d with m >= 1 and d >= 2"),
+    "levi_adjoint": (levi_adjoint, "l (torus case, all-ones), or block sizes d1,...,dl"),
+    "bipartite": (
+        _bipartite_from_params,
+        "k,l,v1,...,vk,w1,...,wl (block counts then block sizes)",
+    ),
+    "kronecker_general": (kronecker_general, "m,n (arrow counts in the two directions)"),
+}
 
 
 def build_example(family: str, params: Sequence[int]) -> QuiverSetup:
@@ -185,7 +174,7 @@ def build_example(family: str, params: Sequence[int]) -> QuiverSetup:
     """
     builder, doc = _family(family)
     try:
-        return builder(list(params))
+        return builder(*params)
     except TypeError:  # the builders take a fixed number of parameters
         raise ValueError(f"example {family} takes {doc}") from None
 
@@ -334,27 +323,20 @@ def point_config_closed_form(m: int, d: int, lam: MarkedPartition) -> dict:
         p for i, p in enumerate(lam.parts) if i != lam.marked
     ]
     s = len(parts_in_order)
-    offdiag = [
-        [e * (n - e) * parts_in_order[p] * parts_in_order[qq] if p != qq else None for qq in range(s)]
-        for p in range(s)
-    ]
-    offdiag_alt = [
-        [e * (e - n) * parts_in_order[p] * parts_in_order[qq] if p != qq else None for qq in range(s)]
-        for p in range(s)
-    ]
+
+    def closed_form(factor: int) -> tuple[list, bool]:
+        table = [
+            [factor * parts_in_order[p] * parts_in_order[qq] if p != qq else None for qq in range(s)]
+            for p in range(s)
+        ]
+        matches = all(
+            quiver.arrows[p][qq] == table[p][qq] for p in range(s) for qq in range(s) if p != qq
+        )
+        return table, matches
+
+    offdiag, offdiag_matches = closed_form(e * (n - e))
+    offdiag_alt, alt_matches = closed_form(e * (e - n))
     stab_expected = [d - e * parts_in_order[0]] + [-e * p for p in parts_in_order[1:]]
-    offdiag_matches = all(
-        quiver.arrows[p][qq] == offdiag[p][qq]
-        for p in range(s)
-        for qq in range(s)
-        if p != qq
-    )
-    alt_matches = all(
-        quiver.arrows[p][qq] == offdiag_alt[p][qq]
-        for p in range(s)
-        for qq in range(s)
-        if p != qq
-    )
     return {
         "arrows": quiver.arrows,
         "stability": tuple(stab.weights),

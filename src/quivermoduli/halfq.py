@@ -58,7 +58,8 @@ class HalfLaurent:
     """Sparse Laurent polynomial in v; v^2 represents q.
 
     Stored as a map from (possibly negative) v-power to a nonzero
-    rational coefficient, so map equality is polynomial equality.
+    rational coefficient, so map equality is polynomial equality. Only the
+    constructor drops zeros; every operation returns through it.
 
     >>> x = HalfLaurent.q_power(2) + HalfLaurent.q_power(3)
     >>> x.pretty()
@@ -138,11 +139,7 @@ class HalfLaurent:
             return NotImplemented
         out = dict(self.coeffs)
         for p, c in other.coeffs.items():
-            v = out.get(p, Fraction(0)) + c
-            if v:
-                out[p] = v
-            else:
-                out.pop(p, None)
+            out[p] = out.get(p, 0) + c
         return HalfLaurent(out)
 
     __radd__ = __add__
@@ -170,11 +167,7 @@ class HalfLaurent:
         for p1, c1 in self.coeffs.items():
             for p2, c2 in other.coeffs.items():
                 p = p1 + p2
-                v = out.get(p, Fraction(0)) + c1 * c2
-                if v:
-                    out[p] = v
-                else:
-                    out.pop(p, None)
+                out[p] = out.get(p, 0) + c1 * c2
         return HalfLaurent(out)
 
     __rmul__ = __mul__
@@ -486,7 +479,7 @@ class SlopeSeries:
 
     Terms are indexed by exponents 0 <= e <= box with RatFunc
     coefficients; the constant term sits at the zero exponent. Products
-    drop exponents leaving the box.
+    drop exponents leaving the box; the constructor drops zero coefficients.
     """
 
     __slots__ = ("box", "terms")
@@ -541,11 +534,7 @@ class SlopeSeries:
         self._match(other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            v = out.get(e, RatFunc.zero()) + c
-            if v.is_zero:
-                out.pop(e, None)
-            else:
-                out[e] = v
+            out[e] = out[e] + c if e in out else c
         return SlopeSeries(self.box, out)
 
     def __neg__(self) -> "SlopeSeries":
@@ -561,13 +550,8 @@ class SlopeSeries:
             for e1, c1 in self.terms.items():
                 for e2, c2 in other.terms.items():
                     e = e1 + e2
-                    if not e.leq(self.box):
-                        continue
-                    v = out.get(e, RatFunc.zero()) + c1 * c2
-                    if v.is_zero:
-                        out.pop(e, None)
-                    else:
-                        out[e] = v
+                    if e.leq(self.box):
+                        out[e] = out[e] + c1 * c2 if e in out else c1 * c2
             return SlopeSeries(self.box, out)
         scalar = _as_ratfunc(other)
         if scalar is NotImplemented:

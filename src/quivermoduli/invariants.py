@@ -236,15 +236,12 @@ def dt_invariants(
     """
     tnorm = normalize_stability(theta, d)
     numerators = _hn_numerators(q, d, tnorm, max_box)
-    euler = q.euler_matrix()
-    n = len(d)
     # S_N(e) = -(-v)^form(e,e) G(e), keyed by v-power
     series: dict[tuple[int, ...], dict[int, int]] = {}
     for e, g in numerators.items():
-        s = e.coords
-        form_ee = sum(s[i] * euler[i][j] * s[j] for i in range(n) for j in range(n))
+        form_ee = q.euler_form(e, e)
         sign = 1 if form_ee % 2 else -1
-        series[s] = {form_ee - 2 * k: sign * c for k, c in g.items()}
+        series[e.coords] = {form_ee - 2 * k: sign * c for k, c in g.items()}
     binomials = _gaussian_binomials(max(d))
     factors: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
     # M(e), cells in ascending lexicographic order, so every e1 < e comes first

@@ -188,6 +188,18 @@ class TestParser:
         assert err.startswith("error: input:") and err.count("\n") == 1
         assert FAMILIES[spec.partition(":")[0]][1] in err
 
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("bipartite:1", "bipartite needs k,l followed by k + l block sizes"),
+            ("bipartite:1,1,1", "bipartite with k=1, l=1 needs exactly 2 block sizes"),
+        ],
+    )
+    def test_bad_bipartite_parameters(self, capsys, spec, message):
+        code, out, err = run(capsys, ["info", "--example", spec])
+        assert code == 1 and out == ""
+        assert err == f"error: input: {message}\n"
+
 
 class TestBooleanRejected:
     @pytest.mark.parametrize(

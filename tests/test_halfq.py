@@ -48,6 +48,15 @@ class TestHalfLaurent:
         l = HalfLaurent({3: 0, 1: 2})
         assert l.coeffs == {1: Fraction(2)}
 
+    def test_operators_store_no_zeros(self):
+        a = HalfLaurent({-1: 2, 0: Fraction(1, 3), 3: -5})
+        assert (a + (-a)).coeffs == {} and (a - a).coeffs == {}
+        v = HalfLaurent.monomial(1)
+        product = (1 + v) * (1 - v)  # the v terms cancel
+        assert product.coeffs == {0: Fraction(1), 2: Fraction(-1)}
+        for value in (a + (-a), product, a * (a - a), (a + 1) - a):
+            assert all(c != 0 and isinstance(c, Fraction) for c in value.coeffs.values())
+
     def test_arithmetic(self):
         a = HalfLaurent.q_power(1) + 1
         b = HalfLaurent.q_power(1) - 1
@@ -68,6 +77,21 @@ class TestHalfLaurent:
         assert l.q_dict() == {0: Fraction(1), 2: Fraction(2)}
         with pytest.raises(ValueError):
             HalfLaurent({1: 1}).q_dict()
+
+
+class TestSlopeSeries:
+    def test_operators_store_no_zeros(self):
+        rng = random.Random(7)
+        s = random_series(rng)
+        assert not s.is_zero and (s - s).terms == {} and (s + (-s)).is_zero
+        a = SlopeSeries.monomial(BOX22, DimVector((1, 0)), RatFunc.one())
+        b = SlopeSeries.monomial(BOX22, DimVector((0, 1)), RatFunc.v_power(1))
+        product = (a + b) * (a - b)  # the cross terms at (1, 1) cancel
+        assert product == SlopeSeries(
+            BOX22, {DimVector((2, 0)): RatFunc.one(), DimVector((0, 2)): -RatFunc.q_power(1)}
+        )
+        for value in (s - s, product, (s + a) - s, s * (a - a)):
+            assert all(not c.is_zero for c in value.terms.values())
 
 
 class TestRatFunc:

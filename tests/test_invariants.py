@@ -27,31 +27,30 @@ def eval_q(poly, q0):
     return sum(c * q0 ** (p // 2) for p, c in poly.coeffs.items())
 
 
-def count_semistable_torus_3x3(q0):
-    """Point count of the deformed 3x3 torus-quotient moduli over a size-q0 field.
+def count_semistable_torus(l, q0):
+    """Point count of the deformed l x l torus-quotient moduli over a size-q0 field.
 
-    Representations are 3x3 matrices of scalars (entry (p, r) = the arrow
-    p -> r); with deformed stability (2, -1, -1) semistability means both
-    other vertices are reachable from the first along nonzero entries.
-    The free torus quotient divides the count by (q0 - 1)^2.
+    Representations are l x l matrices of scalars (entry (p, r) = the arrow
+    p -> r); with deformed stability (l - 1, -1, ..., -1) semistability
+    means every other vertex is reachable from the first along nonzero
+    entries. The free torus quotient divides the count by (q0 - 1)^(l - 1).
     """
     from itertools import product as iproduct
 
     total = 0
-    for entries in iproduct(range(q0), repeat=9):
-        rows = [entries[0:3], entries[3:6], entries[6:9]]
+    for entries in iproduct(range(q0), repeat=l * l):
         seen = {0}
         frontier = [0]
         while frontier:
             p = frontier.pop()
-            for r in range(3):
-                if rows[p][r] and r not in seen:
+            for r in range(l):
+                if entries[p * l + r] and r not in seen:
                     seen.add(r)
                     frontier.append(r)
-        if seen == {0, 1, 2}:
+        if len(seen) == l:
             total += 1
-    assert total % (q0 - 1) ** 2 == 0
-    return total // (q0 - 1) ** 2
+    assert total % (q0 - 1) ** (l - 1) == 0
+    return total // (q0 - 1) ** (l - 1)
 
 
 def single_vertex(loops=0):
@@ -230,7 +229,7 @@ class TestIcPoincare:
         value = ic_poincare_dt(complete_with_loops(3), DimVector((1, 1, 1)), Stability((0, 0, 0)))
         assert value == q_poly({6: 2, 7: 1})
         for q0 in (2, 3):
-            assert eval_q(value, q0) == count_semistable_torus_3x3(q0)
+            assert eval_q(value, q0) == count_semistable_torus(3, q0)
 
     def test_point_configurations_in_the_line(self):
         # four ordered points in the projective line; checked against an
@@ -244,26 +243,11 @@ class TestIcPoincare:
 
     def test_torus_quotient_of_4x4_matrices(self):
         # next size up, certified against an exhaustive size-2-field count
-        from itertools import product as iproduct
-
         value = ic_poincare_dt(
             complete_with_loops(4), DimVector((1, 1, 1, 1)), Stability((0, 0, 0, 0))
         )
         assert value == q_poly({10: 6, 11: 6, 12: 3, 13: 1})
-        count = 0
-        for entries in iproduct((0, 1), repeat=16):
-            rows = [entries[0:4], entries[4:8], entries[8:12], entries[12:16]]
-            seen = {0}
-            frontier = [0]
-            while frontier:
-                p = frontier.pop()
-                for r in range(4):
-                    if rows[p][r] and r not in seen:
-                        seen.add(r)
-                        frontier.append(r)
-            if len(seen) == 4:
-                count += 1
-        assert count == eval_q(value, 2)
+        assert count_semistable_torus(4, 2) == eval_q(value, 2)
 
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(PreconditionError):
@@ -284,7 +268,7 @@ class TestIcPoincare:
         )
         assert value == q_poly({6: 2, 7: 1})
         for q0 in (2, 3):
-            assert eval_q(value, q0) == count_semistable_torus_3x3(q0)
+            assert eval_q(value, q0) == count_semistable_torus(3, q0)
 
     def test_resolution_route_point(self):
         value = ic_poincare_resolution(
