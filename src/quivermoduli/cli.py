@@ -17,6 +17,7 @@ consistency failure. Every error prints one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -70,7 +71,10 @@ PROBLEM_KEYS = (
 
 
 def parse_problem_json(text: str) -> ProblemSpec:
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("problem description is nested too deeply") from None
     _require(isinstance(data, dict), "problem description must be a JSON object")
     unknown = sorted(k for k in data if k not in PROBLEM_KEYS)
     _require(not unknown, f"unknown field: {', '.join(unknown)}; known: {', '.join(PROBLEM_KEYS)}")
@@ -207,6 +211,8 @@ def _record_json(rec) -> dict:
 def cmd_info(problem: ProblemSpec, max_box: int) -> dict:
     q, d, theta = problem.quiver, problem.dim_vector, problem.stability
     tnorm = normalize_stability(theta, d)
+    # the box guard first: the forms below cost up to O(n^3) on a problem it refuses
+    coprime = is_coprime(tnorm, d, max_box)
     return {
         "command": "info",
         "vertices": list(q.vertices),
@@ -217,7 +223,7 @@ def cmd_info(problem: ProblemSpec, max_box: int) -> dict:
         "skew_rank": skew_rank(q),
         "kernel_symmetric": symmetric_on_kernel(q, tnorm),
         "indivisible": is_indivisible(d),
-        "coprime": is_coprime(tnorm, d, max_box),
+        "coprime": coprime,
         "slope": frac_str(slope(theta, d)),
         "expected_dim": moduli_dim(q, d),
     }
@@ -412,7 +418,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared by every later main call."""
     listing = "".join(f"\n  {name:<10} {text}" for name, (_, text) in COMMAND_TABLE.items())
     parser = _Parser(
         prog="quivermoduli",
@@ -440,6 +448,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_MAX_BOX,
         help="cap on box-enumeration cells (default 10^6)",
     )
+    # unless usage is set, parse_intermixed_args renders this same text for its
+    # error messages on every call and throws it away afterwards
+    parser.usage = parser.format_usage()[7:]
     return parser
 
 

@@ -24,6 +24,7 @@ object, so instances can be shared freely.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Mapping, Union
 
@@ -238,42 +239,64 @@ def _as_laurent(x):
 
 
 # ---------------------------------------------------------------------------
-# polynomial division and gcd (nonnegative powers only)
+# integer polynomials: dense coefficient lists, constant term first
 
 
-def _poly_divmod(a: HalfLaurent, b: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = dict(a.coeffs)
-    quot: dict[int, Fraction] = {}
-    db = b.degree()
-    lb = b.coeffs[db]
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        c = rem[dr] / lb
-        shift = dr - db
-        quot[shift] = c
-        for p, cb in b.coeffs.items():
-            key = p + shift
-            v = rem.get(key, Fraction(0)) - c * cb
-            if v:
-                rem[key] = v
-            else:
-                rem.pop(key, None)
-    return HalfLaurent(quot), HalfLaurent(rem)
+def _dense_integer(l: HalfLaurent, scale: int) -> list[int]:
+    """Coefficients of scale * l / v^valuation; scale must clear every denominator."""
+    low = l.valuation()
+    out = [0] * (l.degree() - low + 1)
+    for p, c in l.coeffs.items():
+        out[p - low] = c.numerator * (scale // c.denominator)
+    return out
 
 
-def _poly_gcd(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
-    """Monic gcd by the Euclidean algorithm over the rationals."""
-    while not b.is_zero:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a.is_zero:
-        return a
-    lc = a.leading_coefficient()
-    if lc != 1:
-        a = a * (Fraction(1) / lc)
-    return a
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return a if g == 1 else [c // g for c in a]
+
+
+def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two nonzero integer polynomials, up to sign.
+
+    Primitive polynomial remainder sequence: each pseudo-remainder is cut
+    to its primitive part, so coefficient growth does not compound along
+    the sequence. By Gauss's lemma the last nonzero remainder is, up to
+    sign, the primitive gcd over the rationals.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        db, lb = len(b) - 1, b[-1]
+        r = list(a)
+        while len(r) > db:
+            c = r.pop()
+            g = math.gcd(c, lb)
+            c, m = c // g, lb // g
+            shift = len(r) - db
+            r = [x * m for x in r]
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
+
+
+def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
+    """a / g, where g is primitive and divides a, so the quotient is integral."""
+    a = list(a)
+    dg, lg = len(g) - 1, g[-1]
+    quot = [0] * (len(a) - dg)
+    for k in range(len(quot) - 1, -1, -1):
+        c = quot[k] = a[k + dg] // lg
+        if c:
+            for i in range(dg):
+                a[k + i] -= c * g[i]
+    return quot
 
 
 # ---------------------------------------------------------------------------
@@ -299,24 +322,27 @@ class RatFunc:
 
     @classmethod
     def from_ratio(cls, num: HalfLaurent, den: HalfLaurent) -> "RatFunc":
-        """num / den for arbitrary Laurent polynomials, canonicalized."""
+        """num / den for arbitrary Laurent polynomials, canonicalized.
+
+        Fraction-free: num and den are scaled by one integer, their gcd is
+        taken and divided out in integers, and one rational scaling at the
+        end makes den monic.
+        """
         if den.is_zero:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero:
             return cls(HalfLaurent.zero(), HalfLaurent.one(), 0)
-        shift = num.valuation() - den.valuation()
-        a = num.shifted(-num.valuation())
-        b = den.shifted(-den.valuation())
-        g = _poly_gcd(a, b)
-        if not g.is_zero and g.degree() > 0:
-            a, _ = _poly_divmod(a, g)
-            b, _ = _poly_divmod(b, g)
-        lc = b.leading_coefficient()
-        if lc != 1:
-            inv = Fraction(1) / lc
-            a = a * inv
-            b = b * inv
-        return cls(a, b, shift)
+        scale = math.lcm(*(c.denominator for c in (*num.coeffs.values(), *den.coeffs.values())))
+        a, b = _dense_integer(num, scale), _dense_integer(den, scale)
+        g = _prs_gcd(a, b)
+        if len(g) > 1:
+            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+        lc = b[-1]
+        return cls(
+            HalfLaurent({p: Fraction(c, lc) for p, c in enumerate(a) if c}),
+            HalfLaurent({p: Fraction(c, lc) for p, c in enumerate(b) if c}),
+            num.valuation() - den.valuation(),
+        )
 
     @classmethod
     def from_laurent(cls, l: HalfLaurent) -> "RatFunc":

@@ -5,7 +5,8 @@ import re
 import pytest
 
 from quivermoduli.catalog import FAMILIES
-from quivermoduli.cli import COMMAND_TABLE, main
+from quivermoduli.cli import COMMAND_TABLE, _build_parser, main
+from quivermoduli.core import Quiver
 
 KRONECKER2_PROBLEM = {
     "vertices": ["i", "j"],
@@ -47,6 +48,25 @@ class TestExamplesAndInfo:
         assert payload["indivisible"] is True
         assert payload["coprime"] is False
         assert payload["expected_dim"] == 3
+
+    def test_info_pretty_key_order(self, capsys):
+        code, out, _ = run(capsys, ["info", "--example", "determinantal:2,1"])
+        assert code == 0
+        assert [line.partition(":")[0] for line in out.splitlines()] == [
+            "vertices", "dimension", "stability", "normalized_stability", "euler_matrix",
+            "skew_rank", "kernel_symmetric", "indivisible", "coprime", "slope", "expected_dim",
+        ]
+
+    def test_info_box_guard_before_forms(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed before the box guard")
+
+        monkeypatch.setattr("quivermoduli.cli.skew_rank", refuse)
+        monkeypatch.setattr("quivermoduli.cli.symmetric_on_kernel", refuse)
+        monkeypatch.setattr(Quiver, "euler_matrix", refuse)
+        code, out, err = run(capsys, ["info", "--example", "levi_adjoint:40"])
+        assert code == 2 and out == ""
+        assert err.startswith("error: precondition:") and "--max-box" in err
 
 
 class TestIc:
@@ -120,6 +140,12 @@ class TestExitCodes:
         assert err.startswith("error: input: ") and err.count("\n") == 1
         assert "deformed_stabilty" in err
 
+    def test_deeply_nested_json(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
+        code, out, err = run(capsys, ["info", "-"])
+        assert code == 1 and out == ""
+        assert err == "error: input: problem description is nested too deeply\n"
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_max_box_must_be_positive(self, capsys, value):
         code, out, err = run(capsys, ["info", "--example", "levi_adjoint:2", f"--max-box={value}"])
@@ -145,6 +171,38 @@ class TestParser:
         assert list(COMMAND_TABLE) == names
         for name, (_, text) in COMMAND_TABLE.items():
             assert re.search(rf"^  {name} +{re.escape(text)}$", out, re.M)
+
+    def test_reused_parser_gives_each_call_its_defaults(self, capsys):
+        argv = ["info", "--example", "points:3,2"]  # 24 box cells
+        _build_parser.cache_clear()
+        fresh = run(capsys, argv)
+        assert fresh[0] == 0 and "dimension: [1, 1, 1, 2]" in fresh[1]
+        options = ["--json", "--max-box", "5", "--abelianize"]
+        first = run(capsys, ["info", "--example", "kronecker_general:2,2"] + options)
+        assert first[0] == 0 and json.loads(first[1])["dimension"] == [1, 1]
+        assert run(capsys, argv) == fresh
+
+    def test_usage_error_leaves_parser_intact(self, capsys, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(KRONECKER2_PROBLEM), encoding="utf-8")
+        argv = ["--json", "strata", str(problem), "--max-box", "50"]
+        before = run(capsys, argv)
+        assert before[0] == 0
+        for bad in (["info", "--max-box", "many"], ["nonsense", "-"], ["examples", "-"], []):
+            assert run(capsys, bad)[0] == 1
+            assert run(capsys, argv) == before
+
+    def test_help_matches_a_fresh_parser(self, capsys):
+        run(capsys, ["info", "--example", "levi_adjoint:2"])
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        fresh = _build_parser.__wrapped__()
+        assert out == fresh.format_help()
+        # the preset usage text is the one argparse renders itself
+        fresh.usage = None
+        assert out == fresh.format_help()
 
     def test_options_in_any_position(self, capsys, monkeypatch):
         outputs = []

@@ -2,6 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from ratfunc_oracle import from_ratio_by_euclid
 
 from quivermoduli import (
     DimVector,
@@ -174,6 +177,35 @@ class TestRatFunc:
             if not a.is_zero:
                 assert a * a.inverse() == RatFunc.one()
                 assert (b / a) * a == b
+
+
+def laurents(nonzero=False):
+    """Laurent polynomials with Fraction coefficients of either sign and any valuation."""
+    coeff = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+    polys = st.dictionaries(st.integers(-4, 8), coeff, max_size=6).map(HalfLaurent)
+    return polys.filter(lambda l: not l.is_zero) if nonzero else polys
+
+
+class TestFromRatioOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(laurents(), laurents(nonzero=True), laurents(nonzero=True))
+    # a constant denominator, and a common factor that is a constant
+    @example(HalfLaurent({-2: 3, 1: Fraction(1, 2)}), HalfLaurent({3: -4}), HalfLaurent({0: 6}))
+    # negative leading coefficients and a common factor of positive valuation
+    @example(
+        HalfLaurent({0: 1, 2: -5}), HalfLaurent({1: 2, 3: Fraction(-7, 3)}), HalfLaurent({2: 1, 3: -1})
+    )
+    # num a multiple of den: the quotient is a Laurent polynomial
+    @example(
+        HalfLaurent({0: 1, 1: 2, 2: 1}), HalfLaurent({0: 1, 1: 1}), HalfLaurent({-3: Fraction(2, 5)})
+    )
+    def test_matches_fraction_euclid(self, num, den, factor):
+        num, den = num * factor, den * factor
+        got = RatFunc.from_ratio(num, den)
+        want = from_ratio_by_euclid(num, den)
+        assert got.num.coeffs == want.num.coeffs
+        assert got.den.coeffs == want.den.coeffs
+        assert got.shift == want.shift
 
 
 class TestAdams:
