@@ -11,6 +11,7 @@ problem toric.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import NamedTuple, Sequence
@@ -32,7 +33,7 @@ def determinantal(m: int, r: int) -> QuiverSetup:
     Dimension vector (1, r), trivial stability, deformed stability
     (r, -1), valid for 1 <= r <= m.
     """
-    m, r = int(m), int(r)
+    m, r = operator.index(m), operator.index(r)
     if not 1 <= r <= m:
         raise ValueError("determinantal needs 1 <= r <= m")
     quiver = Quiver(("i", "j"), ((0, m), (m, 0)))
@@ -52,7 +53,7 @@ def point_configurations(m: int, d: int) -> QuiverSetup:
     (d^2 + d, d^2, ..., d^2, -(m d + 1)) breaking the symmetry at the
     first source. Needs m >= 1 and d >= 2.
     """
-    m, d = int(m), int(d)
+    m, d = operator.index(m), operator.index(d)
     if m < 1 or d < 2:
         raise ValueError("point_configurations needs m >= 1 and d >= 2")
     vertices = tuple(f"i{k + 1}" for k in range(m)) + ("j",)
@@ -78,13 +79,13 @@ def levi_adjoint(*dims: int) -> QuiverSetup:
     themselves; no deformed stability is attached then.
     """
     if len(dims) == 1:
-        l = int(dims[0])
+        l = operator.index(dims[0])
         if l < 1:
             raise ValueError("levi_adjoint needs at least one vertex")
         coords = (1,) * l
         deformed = Stability((l - 1,) + (-1,) * (l - 1)) if l > 1 else Stability((0,))
     else:
-        coords = tuple(int(x) for x in dims)
+        coords = tuple(map(operator.index, dims))
         if not coords or any(c < 1 for c in coords):
             raise ValueError("block sizes must be positive")
         l = len(coords)
@@ -106,8 +107,8 @@ def complete_bipartite(source_dims: Sequence[int], sink_dims: Sequence[int]) -> 
     minus the total source dimension, which vanishes on the dimension
     vector. No preferred deformed stability.
     """
-    vs = tuple(int(x) for x in source_dims)
-    ws = tuple(int(x) for x in sink_dims)
+    vs = tuple(map(operator.index, source_dims))
+    ws = tuple(map(operator.index, sink_dims))
     if not vs or not ws or any(c < 1 for c in vs + ws):
         raise ValueError("block dimensions must be positive")
     k, l = len(vs), len(ws)
@@ -133,7 +134,7 @@ def kronecker_general(m: int, n: int) -> QuiverSetup:
     The quotient is the variety of m x n matrices of rank at most one;
     trivial stability with deformed stability (1, -1).
     """
-    m, n = int(m), int(n)
+    m, n = operator.index(m), operator.index(n)
     if m < 0 or n < 0:
         raise ValueError("arrow counts must be nonnegative")
     quiver = Quiver(("i", "j"), ((0, m), (n, 0)))
@@ -141,7 +142,7 @@ def kronecker_general(m: int, n: int) -> QuiverSetup:
 
 
 def _bipartite_from_params(*params: int) -> QuiverSetup:
-    params = [int(x) for x in params]
+    params = [operator.index(x) for x in params]
     if len(params) < 2:
         raise ValueError("bipartite needs k,l followed by k + l block sizes")
     k, l = params[0], params[1]
@@ -249,12 +250,14 @@ class MarkedPartition:
     marked: int
 
     def __post_init__(self):
-        parts = tuple(int(p) for p in self.parts)
+        parts = tuple(map(operator.index, self.parts))
         if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        if not 0 <= self.marked < len(parts):
+        marked = operator.index(self.marked)
+        if not 0 <= marked < len(parts):
             raise ValueError("marked index out of range")
         object.__setattr__(self, "parts", parts)
+        object.__setattr__(self, "marked", marked)
 
     @property
     def total(self) -> int:
@@ -295,7 +298,7 @@ def point_config_local_data(
     from the general decomposition-type construction, not from a closed
     form; see point_config_closed_form for the cross-check.
     """
-    m, d = int(m), int(d)
+    m, d = operator.index(m), operator.index(d)
     if m < 1 or d < 2:
         raise ValueError("needs m >= 1 and d >= 2")
     setup = point_configurations(m, d)
@@ -314,7 +317,7 @@ def point_config_closed_form(m: int, d: int, lam: MarkedPartition) -> dict:
     well: it is negative exactly when n > e, so it cannot be an arrow
     count in that regime, and the comparison flags match accordingly.
     """
-    m, d = int(m), int(d)
+    m, d = operator.index(m), operator.index(d)
     quiver, dim, stab = point_config_local_data(m, d, lam)
     g = gcd(d, m)
     e = d // g
@@ -373,7 +376,7 @@ def rank_one_smallness_report(m: int, n: int) -> RankOneSmallness:
     of dimension m - 1 while the matrix variety has dimension m + n - 1.
     The desingularization is small exactly when m <= n.
     """
-    m, n = int(m), int(n)
+    m, n = operator.index(m), operator.index(n)
     if m < 1 or n < 1:
         raise ValueError("needs m, n >= 1")
     fiber = m - 1

@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from .catalog import FAMILIES, abelianized_quiver, example_from_spec, rank_one_smallness_report
 from .core import (
@@ -42,16 +43,15 @@ from .halfq import HalfLaurent, RatFunc
 from .invariants import betti_coprime, dt_invariants, ic_poincare_dt, ic_poincare_resolution, p_poly
 from .strata import certify_smallness, stratum_records
 
-class ProblemSpec:
+class ProblemSpec(NamedTuple):
     """Validated problem description consumed by every command."""
 
-    def __init__(self, quiver, dim_vector, stability, deformed, assume_nonempty, family=None):
-        self.quiver = quiver
-        self.dim_vector = dim_vector
-        self.stability = stability
-        self.deformed = deformed
-        self.assume_nonempty = assume_nonempty
-        self.family = family  # (name, params) when built from --example
+    quiver: Quiver
+    dim_vector: DimVector
+    stability: Stability
+    deformed: Stability | None
+    assume_nonempty: bool
+    family: tuple[str, list[int]] | None = None  # (name, params) when built from --example
 
 
 def _require(cond: bool, message: str) -> None:
@@ -68,6 +68,18 @@ def _is_int(x) -> bool:
 PROBLEM_KEYS = (
     "vertices", "arrows", "dimension", "stability", "deformed_stability", "assume_nonempty"
 )
+
+
+def _int_vector(data: dict, key: str, n: int, nonnegative: bool) -> tuple[int, ...]:
+    vec = data[key]
+    kind = "a nonnegative" if nonnegative else "an"
+    _require(
+        isinstance(vec, list)
+        and len(vec) == n
+        and all(_is_int(c) and (c >= 0 or not nonnegative) for c in vec),
+        f"{key} must be {kind} integer vector matching the quiver",
+    )
+    return tuple(vec)
 
 
 def parse_problem_json(text: str) -> ProblemSpec:
@@ -100,34 +112,15 @@ def parse_problem_json(text: str) -> ProblemSpec:
         "vertices must list one name per matrix row",
     )
     _require(all(isinstance(v, str) for v in vertices), "vertices must be strings")
-    dim = data["dimension"]
-    _require(
-        isinstance(dim, list) and len(dim) == n and all(_is_int(c) and c >= 0 for c in dim),
-        "dimension must be a nonnegative integer vector matching the quiver",
-    )
-    stab = data["stability"]
-    _require(
-        isinstance(stab, list) and len(stab) == n and all(_is_int(w) for w in stab),
-        "stability must be an integer vector matching the quiver",
-    )
-    deformed = data.get("deformed_stability")
-    if deformed is not None:
-        _require(
-            isinstance(deformed, list)
-            and len(deformed) == n
-            and all(_is_int(w) for w in deformed),
-            "deformed_stability must be an integer vector matching the quiver",
-        )
-        deformed = Stability(tuple(deformed))
+    dim = DimVector(_int_vector(data, "dimension", n, nonnegative=True))
+    stab = Stability(_int_vector(data, "stability", n, nonnegative=False))
+    deformed = None
+    if data.get("deformed_stability") is not None:
+        deformed = Stability(_int_vector(data, "deformed_stability", n, nonnegative=False))
     assume = data.get("assume_nonempty", False)
     _require(isinstance(assume, bool), "assume_nonempty must be a boolean")
-    return ProblemSpec(
-        Quiver(tuple(vertices), tuple(tuple(row) for row in arrows)),
-        DimVector(tuple(dim)),
-        Stability(tuple(stab)),
-        deformed,
-        assume,
-    )
+    quiver = Quiver(tuple(vertices), tuple(tuple(row) for row in arrows))
+    return ProblemSpec(quiver, dim, stab, deformed, assume)
 
 
 def load_problem(args) -> ProblemSpec:
@@ -135,14 +128,7 @@ def load_problem(args) -> ProblemSpec:
         raise ValueError("give either an input file or --example, not both")
     if args.example:
         family, params, setup = example_from_spec(args.example)
-        problem = ProblemSpec(
-            setup.quiver,
-            setup.dim_vector,
-            setup.stability,
-            setup.deformed,
-            bool(args.assume_nonempty),
-            family=(family, params),
-        )
+        problem = ProblemSpec(*setup, False, (family, params))
     elif args.input:
         if args.input == "-":
             text = sys.stdin.read()
@@ -150,13 +136,13 @@ def load_problem(args) -> ProblemSpec:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
         problem = parse_problem_json(text)
-        if args.assume_nonempty:
-            problem.assume_nonempty = True
     else:
         raise ValueError("no input: give a problem JSON path, -, or --example")
+    if args.assume_nonempty:
+        problem = problem._replace(assume_nonempty=True)
     if args.abelianize:
         quiver, dim, stab = abelianized_quiver(problem.quiver, problem.dim_vector, problem.stability)
-        problem = ProblemSpec(quiver, dim, stab, None, problem.assume_nonempty, problem.family)
+        problem = problem._replace(quiver=quiver, dim_vector=dim, stability=stab, deformed=None)
     return problem
 
 

@@ -13,6 +13,7 @@ fractions.Fraction, never floats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -31,7 +32,7 @@ class DimVector:
     coords: tuple[int, ...]
 
     def __post_init__(self):
-        coords = tuple(int(c) for c in self.coords)
+        coords = tuple(map(operator.index, self.coords))
         if any(c < 0 for c in coords):
             raise ValueError(f"dimension vector must be nonnegative, got {coords}")
         object.__setattr__(self, "coords", coords)
@@ -84,7 +85,7 @@ class Stability:
     weights: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(int(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(operator.index, self.weights)))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -132,7 +133,7 @@ class Quiver:
 
     def __post_init__(self):
         vertices = tuple(str(v) for v in self.vertices)
-        arrows = tuple(tuple(int(a) for a in row) for row in self.arrows)
+        arrows = tuple(tuple(map(operator.index, row)) for row in self.arrows)
         n = len(vertices)
         if len(set(vertices)) != n:
             raise ValueError("vertex names must be unique")

@@ -135,13 +135,10 @@ def generic_deformation(
     if theta(d) != 0:
         raise PreconditionError("stability does not vanish on d; normalize it first")
     check_box(d, max_box)
-    critical = [
-        e for e in box_iter(d) if not e.is_zero and e != d and theta(e) == 0
-    ]
-    eta = _search_eta(d, critical, max_eta_norm)
-    below = max((eta(e) for e in box_iter(d) if theta(e) < 0), default=0)
-    above = max((-eta(e) for e in box_iter(d) if theta(e) > 0), default=0)
-    scale = 1 + max(0, below, above)
+    cells = [(e, theta(e)) for e in box_iter(d) if not e.is_zero and e != d]
+    eta = _search_eta(d, [e for e, te in cells if te == 0], max_eta_norm)
+    # C must beat eta(e) where theta(e) < 0 and -eta(e) where theta(e) > 0
+    scale = 1 + max([0] + [eta(e) if te < 0 else -eta(e) for e, te in cells if te])
     theta_prime = scale * theta + eta
     verdict = is_generic_deformation(theta, theta_prime, d, max_box)
     if not verdict.passed:

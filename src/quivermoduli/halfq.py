@@ -51,6 +51,15 @@ def _mobius(n: int) -> int:
     return result
 
 
+def _mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> dict[int, Scalar]:
+    """Product of two Laurent polynomials given as {v-power: coefficient}."""
+    out: dict[int, Scalar] = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Laurent polynomials in v
 
@@ -164,12 +173,7 @@ class HalfLaurent:
         other = _as_laurent(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict[int, Fraction] = {}
-        for p1, c1 in self.coeffs.items():
-            for p2, c2 in other.coeffs.items():
-                p = p1 + p2
-                out[p] = out.get(p, 0) + c1 * c2
-        return HalfLaurent(out)
+        return HalfLaurent(_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 

@@ -5,9 +5,9 @@ decompositions, the Betti polynomial of the moduli space in the coprime
 case, q-Donaldson-Thomas invariants extracted with the plethystic
 logarithm, and the two independent routes to the intersection-cohomology
 Poincare polynomial. Both p and the DT invariants run in integer Laurent
-polynomials, Gaussian-normalized: the coefficient at e is kept multiplied
-by [e]! = prod_i prod_{j=1}^{e_i} (1 - q^{-j}), so no gcd is taken until
-each result is canonicalized once per exponent. The routes are
+polynomials in v, Gaussian-normalized: the coefficient at e is kept
+multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)), so no gcd is
+taken until each result is canonicalized once per exponent. The routes are
 
 * the DT route, a sign-twisted DT invariant, valid when the form is
   symmetric on the kernel of the stability;
@@ -18,6 +18,9 @@ Both are exact and must agree whenever their shared hypotheses hold.
 """
 
 from __future__ import annotations
+
+from collections.abc import Callable
+from functools import cache
 
 from .core import (
     DEFAULT_MAX_BOX,
@@ -33,23 +36,14 @@ from .core import (
 )
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, PreconditionError
-from .halfq import HalfLaurent, RatFunc, _mobius
+from .halfq import HalfLaurent, RatFunc, _mobius, _mul
 
 
-def _mul(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p1, c1 in a.items():
-        for p2, c2 in b.items():
-            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
-    return out
+def _binomials(top: int) -> Callable[[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
+    """binom(s, t) = prod_i [s_i choose t_i] in v for t <= s <= top.
 
-
-def _gaussian_binomials(top: int) -> list[list[dict[int, int]]]:
-    """Table[n][k] = the Gaussian binomial [n choose k] in x, as {power: coefficient}.
-
-    Built by [n, k] = [n-1, k-1] + x^k [n-1, k]. It equals [n]! / ([k]! [n-k]!)
-    for the q-factorials [m]! = prod_{j=1}^{m} (1 - x^j), and has integer
-    coefficients.
+    [n, k] = [n-1, k-1] + v^(-2k) [n-1, k] = [n]! / ([k]! [n-k]!) has integer
+    coefficients; each product is built on first use and kept for the call.
     """
     table = [[{0: 1}]]
     for n in range(1, top + 1):
@@ -58,21 +52,22 @@ def _gaussian_binomials(top: int) -> list[list[dict[int, int]]]:
         for k in range(1, n):
             coeffs = dict(prev[k - 1])
             for p, c in prev[k].items():
-                coeffs[p + k] = coeffs.get(p + k, 0) + c
+                coeffs[p - 2 * k] = coeffs.get(p - 2 * k, 0) + c
             row.append(coeffs)
         row.append({0: 1})
         table.append(row)
-    return table
 
+    @cache
+    def product(key: tuple[tuple[int, int], ...]) -> dict[int, int]:
+        out = {0: 1}
+        for si, ti in key:
+            out = _mul(out, table[si][ti])
+        return out
 
-def _binomial_product(
-    binomials: list[list[dict[int, int]]], key: tuple[tuple[int, int], ...]
-) -> dict[int, int]:
-    """prod over (s_i, t_i) in key of [s_i choose t_i] in x, from a _gaussian_binomials table."""
-    out = {0: 1}
-    for si, ti in key:
-        out = _mul(out, binomials[si][ti])
-    return out
+    def binom(s: tuple[int, ...], t: tuple[int, ...]) -> dict[int, int]:
+        return product(tuple((si, ti) for si, ti in zip(s, t) if 0 < ti < si))
+
+    return binom
 
 
 def _hn_numerators(
@@ -81,11 +76,11 @@ def _hn_numerators(
     """Harder-Narasimhan recursion over the cells of the box [0, d].
 
     Returns G(e) = -[e]! p_e for every nonzero e <= d with slope(e) =
-    slope(d), as an integer Laurent polynomial {k: coefficient of x^k} in
-    x = q^-1, where [e]! = prod_i prod_{j=1}^{e_i} (1 - x^j). See p_poly
-    for the sum and the recursion. Cells are visited in ascending
-    lexicographic order, so every T < S is finished before S; only cells
-    of slope at least slope(d) are ever needed.
+    slope(d), as an integer Laurent polynomial {k: coefficient of v^k},
+    where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). See p_poly for the
+    sum and the recursion. Cells are visited in ascending lexicographic
+    order, so every T < S is finished before S; only cells of slope at
+    least slope(d) are ever needed.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -94,8 +89,7 @@ def _hn_numerators(
     mu_d = slope(theta, d)
     euler = q.euler_matrix()
     n = len(d)
-    binomials = _gaussian_binomials(max(d))
-    factors: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+    binom = _binomials(max(d))
     zero = (0,) * n
     # cells that may end a proper partial sum, with their G values
     sources: list[tuple[tuple[int, ...], dict[int, int]]] = [(zero, {0: 1})]
@@ -115,12 +109,9 @@ def _hn_numerators(
         for t, g in sources:
             if any(a > b for a, b in zip(t, s)):
                 continue
-            # -x^{form(S - T, S)} [S]! / ([T]! [S - T]!)
-            shift = form_ss - sum(a * b for a, b in zip(t, es))
-            key = tuple((si, ti) for ti, si in zip(t, s) if 0 < ti < si)
-            factor = factors.get(key)
-            if factor is None:
-                factor = factors[key] = _binomial_product(binomials, key)
+            # -v^(-2 form(S - T, S)) [S]! / ([T]! [S - T]!)
+            shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
+            factor = binom(s, t)
             for p1, c1 in g.items():
                 for p2, c2 in factor.items():
                     p = p1 + p2 + shift
@@ -133,21 +124,19 @@ def _hn_numerators(
     return numerators
 
 
-def _factorial(e: DimVector) -> dict[int, int]:
-    """[e]! = prod_i prod_{j=1}^{e_i} (1 - x^j), as {power of x: coefficient}."""
+def _factorial(e: DimVector, m: int = 0) -> dict[int, int]:
+    """prod_i prod_{j <= e_i, m not dividing j} (1 - v^(-2j)); [e]! when m = 0."""
     out = {0: 1}
     for di in e:
         for j in range(1, di + 1):
-            out = _mul(out, {0: 1, j: -1})
+            if not m or j % m:
+                out = _mul(out, {0: 1, -2 * j: -1})
     return out
 
 
 def _p_value(numerator: dict[int, int], e: DimVector) -> RatFunc:
-    """p_e = -G(e) / [e]!, canonicalized once; x = q^-1 is v^-2."""
-    return RatFunc.from_ratio(
-        HalfLaurent({-2 * k: -c for k, c in numerator.items()}),
-        HalfLaurent({-2 * k: c for k, c in _factorial(e).items()}),
-    )
+    """p_e = -G(e) / [e]!, canonicalized once."""
+    return RatFunc.from_ratio(-HalfLaurent(numerator), HalfLaurent(_factorial(e)))
 
 
 def p_poly(
@@ -171,8 +160,9 @@ def p_poly(
         F(S) = sum_T F(T) * (-q^(-form(S - T, S))) / [S - T]!
 
     over cells T < S with T = 0 or slope(T) > slope(d), and p = -F(d).
-    G(S) = [S]! F(S) needs only Gaussian binomials in q^-1, so the recursion
-    runs in integer Laurent polynomials and is canonicalized once at the end.
+    G(S) = [S]! F(S) steps by -v^(-2 form(S - T, S)) [S choose T] G(T), so the
+    recursion runs in integer Laurent polynomials in v and p = -G(d) / [d]!
+    is canonicalized once at the end.
     The work is at most one step per pair T <= S of cells,
     prod_i (d_i + 1)(d_i + 2) / 2, which is polynomial in the box.
     """
@@ -228,11 +218,11 @@ def dt_invariants(
     for M(e) = |e| [e]! (log S)_e, one step per pair of slope-zero cells.
     The Moebius inversion of the Adams operations then reads
 
-        |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(x -> x^m),
+        |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(v -> v^m),
 
-    and the last factor is the product of (1 - x^k) over k <= e_i with m not
-    dividing k. No gcd is taken until the end: each invariant is
-    canonicalized once, by one RatFunc.from_ratio with denominator |e| [e]!.
+    and the last factor is _factorial(e, m). No gcd is taken until the end:
+    each invariant is canonicalized once, by one RatFunc.from_ratio with
+    denominator |e| [e]!.
     """
     tnorm = normalize_stability(theta, d)
     numerators = _hn_numerators(q, d, tnorm, max_box)
@@ -241,9 +231,8 @@ def dt_invariants(
     for e, g in numerators.items():
         form_ee = q.euler_form(e, e)
         sign = 1 if form_ee % 2 else -1
-        series[e.coords] = {form_ee - 2 * k: sign * c for k, c in g.items()}
-    binomials = _gaussian_binomials(max(d))
-    factors: dict[tuple[tuple[int, int], ...], dict[int, int]] = {}
+        series[e.coords] = {form_ee + p: sign * c for p, c in g.items()}
+    binom = _binomials(max(d))
     # M(e), cells in ascending lexicographic order, so every e1 < e comes first
     logs: dict[tuple[int, ...], dict[int, int]] = {}
     for s, s_n in series.items():
@@ -252,13 +241,8 @@ def dt_invariants(
         for t, m_t in logs.items():
             if any(a > b for a, b in zip(t, s)):
                 continue
-            key = tuple((si, ti) for ti, si in zip(t, s) if 0 < ti < si)
-            factor = factors.get(key)
-            if factor is None:
-                product = _binomial_product(binomials, key)
-                factor = factors[key] = {-2 * k: c for k, c in product.items()}
             rest = series[tuple(si - ti for si, ti in zip(s, t))]
-            for p1, c1 in _mul(factor, m_t).items():
+            for p1, c1 in _mul(binom(s, t), m_t).items():
                 for p2, c2 in rest.items():
                     acc[p1 + p2] = acc.get(p1 + p2, 0) - c1 * c2
         logs[s] = {p: c for p, c in acc.items() if c}
@@ -272,13 +256,9 @@ def dt_invariants(
             if not mu or any(si % m for si in s):
                 continue
             term = {p * m: mu * c for p, c in logs[tuple(si // m for si in s)].items()}
-            for si in s:
-                for k in range(1, si + 1):
-                    if k % m:
-                        term = _mul(term, {0: 1, -2 * k: -1})
-            for p, c in term.items():
+            for p, c in _mul(term, _factorial(e, m)).items():
                 acc[p] = acc.get(p, 0) + c
-        den = {-2 * k: sum(s) * c for k, c in _factorial(e).items()}
+        den = {p: sum(s) * c for p, c in _factorial(e).items()}
         invariants[e] = RatFunc.from_ratio(rescale * HalfLaurent(acc), HalfLaurent(den))
     return invariants
 

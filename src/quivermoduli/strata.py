@@ -21,6 +21,7 @@ All bounds are exact half-integers (Fractions with denominator 1 or 2).
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -59,7 +60,7 @@ class LunaType:
     def __post_init__(self):
         folded: dict[DimVector, int] = {}
         for part, mult in self.parts:
-            mult = int(mult)
+            mult = operator.index(mult)
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             if part.is_zero:

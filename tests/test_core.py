@@ -5,15 +5,22 @@ import pytest
 
 from quivermoduli import (
     DimVector,
+    LunaType,
+    MarkedPartition,
     PreconditionError,
     Quiver,
     Stability,
     box_iter,
+    complete_bipartite,
+    determinantal,
     eta_factorization,
     is_coprime,
     is_indivisible,
+    kronecker_general,
+    levi_adjoint,
     moduli_dim,
     normalize_stability,
+    point_configurations,
     skew_rank,
     slope,
     symmetric_on_kernel,
@@ -360,3 +367,42 @@ class TestModuliDim:
 
     def test_point(self):
         assert moduli_dim(Quiver.from_matrix([[0]]), DimVector((1,))) == 0
+
+
+class TestNoTruncation:
+    """The value types take integers only; a float, string or Fraction is refused, not rounded."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: DimVector((1.5, 2)), id="DimVector-float"),
+            pytest.param(lambda: DimVector(("3",)), id="DimVector-str"),
+            pytest.param(lambda: DimVector((Fraction(3, 1),)), id="DimVector-Fraction"),
+            pytest.param(lambda: Stability((0.7, -1.2)), id="Stability-float"),
+            pytest.param(lambda: Stability((Fraction(1, 2), 0)), id="Stability-Fraction"),
+            pytest.param(lambda: Stability(("1", "-1")), id="Stability-str"),
+            pytest.param(lambda: Quiver(("i", "j"), ((0, 1.9), (0, 0))), id="Quiver-float"),
+            pytest.param(lambda: Quiver(("i", "j"), ((0, "2"), (0, 0))), id="Quiver-str"),
+            pytest.param(lambda: LunaType(((DimVector((1, 0)), 2.9),)), id="LunaType-float"),
+            pytest.param(lambda: LunaType(((DimVector((1, 0)), Fraction(2)),)), id="LunaType-Fraction"),
+            pytest.param(lambda: MarkedPartition((1.5, 1), 0), id="MarkedPartition-parts"),
+            pytest.param(lambda: MarkedPartition((2, 1), 0.0), id="MarkedPartition-marked"),
+            pytest.param(lambda: determinantal(2.0, 1), id="determinantal"),
+            pytest.param(lambda: point_configurations(4, "2"), id="point_configurations"),
+            pytest.param(lambda: levi_adjoint(Fraction(3)), id="levi_adjoint-torus"),
+            pytest.param(lambda: levi_adjoint(2, 1.0), id="levi_adjoint-blocks"),
+            pytest.param(lambda: complete_bipartite((1.5,), (1,)), id="complete_bipartite"),
+            pytest.param(lambda: kronecker_general(2, 1.9), id="kronecker_general"),
+        ],
+    )
+    def test_non_integers_raise_type_error(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_integers_pass_unchanged(self):
+        assert DimVector((1, 2)).coords == (1, 2)
+        assert Stability((0, -1)).weights == (0, -1)
+        assert Quiver(("i", "j"), ((0, 1), (0, 0))).arrows == ((0, 1), (0, 0))
+        assert LunaType(((DimVector((1, 0)), 2),)).parts == ((DimVector((1, 0)), 2),)
+        assert MarkedPartition((2, 1), 1).marked == 1
+        assert determinantal(2, 1).dim_vector == DimVector((1, 1))

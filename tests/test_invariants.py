@@ -10,12 +10,15 @@ from quivermoduli import (
     RatFunc,
     Stability,
     betti_coprime,
+    box_iter,
     dt_invariants,
     ic_poincare_dt,
     ic_poincare_resolution,
     moduli_dim,
     p_poly,
 )
+from quivermoduli.halfq import _mul
+from quivermoduli.invariants import _binomials, _factorial
 
 
 def kronecker(m, n=0):
@@ -309,3 +312,32 @@ class TestIcPoincare:
             via_res = ic_poincare_resolution(q, d, theta, theta_prime)
             assert via_dt == via_res
             assert via_dt.is_q_polynomial()
+
+
+class TestVCoordinateIdentities:
+    """The q-binomial and q-factorial of the integer layer, checked against each other in v."""
+
+    BOX = DimVector((3, 2, 1))
+
+    def test_binomial_times_factorials_is_factorial(self):
+        binom = _binomials(max(self.BOX))
+        pairs = 0
+        for s in box_iter(self.BOX):
+            for t in box_iter(s):
+                rest = s - t
+                product = _mul(_mul(binom(s.coords, t.coords), _factorial(t)), _factorial(rest))
+                assert product == _factorial(s), (s, t)
+                pairs += 1
+        assert pairs == 10 * 6 * 3  # prod_i (d_i + 1)(d_i + 2) / 2
+
+    def test_factorial_with_step_times_stretched_factorial_is_factorial(self):
+        steps = set()
+        for s in box_iter(self.BOX):
+            for m in range(1, max(s) + 1):
+                if any(si % m for si in s):
+                    continue
+                quotient = DimVector(tuple(si // m for si in s))
+                stretched = {p * m: c for p, c in _factorial(quotient).items()}
+                assert _mul(_factorial(s, m), stretched) == _factorial(s), (s, m)
+                steps.add((s.coords, m))
+        assert {((2, 2, 0), 2), ((3, 0, 0), 3), ((1, 2, 1), 1)} <= steps
