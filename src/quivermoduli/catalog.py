@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from math import gcd
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import DimVector, Quiver, Stability
+from .errors import BoxGuardExceeded
 from .strata import LunaType, local_quiver
 
 
@@ -27,15 +29,33 @@ class QuiverSetup(NamedTuple):
     deformed: Stability | None
 
 
-def determinantal(m: int, r: int) -> QuiverSetup:
+def _check_example_box(coords: Iterable[int], max_box: int | None) -> None:
+    """Refuse an example whose box exceeds max_box, before its quiver is built.
+
+    The count stops as soon as it passes max_box, so levi_adjoint:100000
+    is refused after about twenty coordinates. max_box None checks nothing.
+    """
+    if max_box is None:
+        return
+    cells = 1
+    for c in coords:
+        cells *= c + 1
+        if cells > max_box:
+            raise BoxGuardExceeded(None, max_box)
+
+
+def determinantal(m: int, r: int, *, max_box: int | None = None) -> QuiverSetup:
     """Two vertices, m arrows each way; quotient = m x m matrices of rank <= r.
 
     Dimension vector (1, r), trivial stability, deformed stability
-    (r, -1), valid for 1 <= r <= m.
+    (r, -1), valid for 1 <= r <= m. Like every builder here, it raises
+    BoxGuardExceeded before building anything when the box of the
+    dimension vector has more than max_box cells.
     """
     m, r = operator.index(m), operator.index(r)
     if not 1 <= r <= m:
         raise ValueError("determinantal needs 1 <= r <= m")
+    _check_example_box((1, r), max_box)
     quiver = Quiver(("i", "j"), ((0, m), (m, 0)))
     return QuiverSetup(
         quiver,
@@ -45,7 +65,7 @@ def determinantal(m: int, r: int) -> QuiverSetup:
     )
 
 
-def point_configurations(m: int, d: int) -> QuiverSetup:
+def point_configurations(m: int, d: int, *, max_box: int | None = None) -> QuiverSetup:
     """Star quiver with m sources; quotient = ordered m-tuples of points in P^(d-1).
 
     Dimension vector (1, ..., 1, d), the symmetric stability
@@ -56,6 +76,7 @@ def point_configurations(m: int, d: int) -> QuiverSetup:
     m, d = operator.index(m), operator.index(d)
     if m < 1 or d < 2:
         raise ValueError("point_configurations needs m >= 1 and d >= 2")
+    _check_example_box(chain(repeat(1, m), (d,)), max_box)
     vertices = tuple(f"i{k + 1}" for k in range(m)) + ("j",)
     arrows = [[0] * (m + 1) for _ in range(m + 1)]
     for k in range(m):
@@ -70,7 +91,7 @@ def point_configurations(m: int, d: int) -> QuiverSetup:
     )
 
 
-def levi_adjoint(*dims: int) -> QuiverSetup:
+def levi_adjoint(*dims: int, max_box: int | None = None) -> QuiverSetup:
     """Complete quiver with loops; quotient of square matrices by a Levi.
 
     A single argument l means l vertices with the all-ones dimension
@@ -82,12 +103,14 @@ def levi_adjoint(*dims: int) -> QuiverSetup:
         l = operator.index(dims[0])
         if l < 1:
             raise ValueError("levi_adjoint needs at least one vertex")
+        _check_example_box(repeat(1, l), max_box)
         coords = (1,) * l
         deformed = Stability((l - 1,) + (-1,) * (l - 1)) if l > 1 else Stability((0,))
     else:
         coords = tuple(map(operator.index, dims))
         if not coords or any(c < 1 for c in coords):
             raise ValueError("block sizes must be positive")
+        _check_example_box(coords, max_box)
         l = len(coords)
         deformed = None
     vertices = tuple(f"i{p + 1}" for p in range(l))
@@ -100,7 +123,9 @@ def levi_adjoint(*dims: int) -> QuiverSetup:
     )
 
 
-def complete_bipartite(source_dims: Sequence[int], sink_dims: Sequence[int]) -> QuiverSetup:
+def complete_bipartite(
+    source_dims: Sequence[int], sink_dims: Sequence[int], *, max_box: int | None = None
+) -> QuiverSetup:
     """Complete bipartite quiver; graded linear maps up to block base change.
 
     Stability gives every source the total sink dimension and every sink
@@ -111,6 +136,7 @@ def complete_bipartite(source_dims: Sequence[int], sink_dims: Sequence[int]) -> 
     ws = tuple(map(operator.index, sink_dims))
     if not vs or not ws or any(c < 1 for c in vs + ws):
         raise ValueError("block dimensions must be positive")
+    _check_example_box(vs + ws, max_box)
     k, l = len(vs), len(ws)
     vertices = tuple(f"i{p + 1}" for p in range(k)) + tuple(f"j{qq + 1}" for qq in range(l))
     arrows = [[0] * (k + l) for _ in range(k + l)]
@@ -128,7 +154,7 @@ def complete_bipartite(source_dims: Sequence[int], sink_dims: Sequence[int]) -> 
     )
 
 
-def kronecker_general(m: int, n: int) -> QuiverSetup:
+def kronecker_general(m: int, n: int, *, max_box: int | None = None) -> QuiverSetup:
     """Two vertices, m arrows one way and n the other, d = (1, 1).
 
     The quotient is the variety of m x n matrices of rank at most one;
@@ -137,18 +163,19 @@ def kronecker_general(m: int, n: int) -> QuiverSetup:
     m, n = operator.index(m), operator.index(n)
     if m < 0 or n < 0:
         raise ValueError("arrow counts must be nonnegative")
+    _check_example_box((1, 1), max_box)
     quiver = Quiver(("i", "j"), ((0, m), (n, 0)))
     return QuiverSetup(quiver, DimVector((1, 1)), Stability((0, 0)), Stability((1, -1)))
 
 
-def _bipartite_from_params(*params: int) -> QuiverSetup:
+def _bipartite_from_params(*params: int, max_box: int | None = None) -> QuiverSetup:
     params = [operator.index(x) for x in params]
     if len(params) < 2:
         raise ValueError("bipartite needs k,l followed by k + l block sizes")
     k, l = params[0], params[1]
     if len(params) != 2 + k + l:
         raise ValueError(f"bipartite with k={k}, l={l} needs exactly {k + l} block sizes")
-    return complete_bipartite(params[2 : 2 + k], params[2 + k :])
+    return complete_bipartite(params[2 : 2 + k], params[2 + k :], max_box=max_box)
 
 
 #: CLI-addressable families: name -> (builder called with the integer
@@ -165,27 +192,39 @@ FAMILIES = {
 }
 
 
-def build_example(family: str, params: Sequence[int]) -> QuiverSetup:
+def build_example(
+    family: str, params: Sequence[int], max_box: int | None = None
+) -> QuiverSetup:
     """Build a catalog example from its family name and integer parameters.
 
     The one-dimensional-vertices construction is not an integer-list
     family; apply abelianized_quiver to any setup (the command line
-    exposes this as a flag). A wrong number of parameters raises
-    ValueError naming the family's parameters.
+    exposes this as a flag). A parameter that is not an integer raises
+    ValueError saying so; a wrong number of parameters raises ValueError
+    naming the family's parameters. With max_box, an example whose box
+    has more cells raises BoxGuardExceeded before its quiver is built.
     """
     builder, doc = _family(family)
+    for p in params:
+        try:
+            operator.index(p)
+        except TypeError:
+            raise ValueError(f"example {family} parameters must be integers, got {p!r}") from None
     try:
-        return builder(*params)
-    except TypeError:  # the builders take a fixed number of parameters
+        return builder(*params, max_box=max_box)
+    except TypeError:  # with integer parameters, only their number can be wrong
         raise ValueError(f"example {family} takes {doc}") from None
 
 
-def example_from_spec(spec: str) -> tuple[str, list[int], QuiverSetup]:
+def example_from_spec(
+    spec: str, max_box: int | None = None
+) -> tuple[str, list[int], QuiverSetup]:
     """Build a catalog example from a ``family:p1,p2,...`` spec.
 
     Returns the family name, its parameters and the setup. A field that is
     not an integer, an empty one included, raises ValueError naming the
-    family's parameters, as a wrong number of them does.
+    family's parameters, as a wrong number of them does. max_box is passed
+    on to build_example.
     """
     family, sep, rest = spec.partition(":")
     if not sep:
@@ -196,7 +235,7 @@ def example_from_spec(spec: str) -> tuple[str, list[int], QuiverSetup]:
         params = [int(x) for x in rest.split(",")] if rest.strip() else []
     except ValueError:
         raise ValueError(f"example {family} takes {doc}") from None
-    return family, params, build_example(family, params)
+    return family, params, build_example(family, params, max_box)
 
 
 def _family(family: str):

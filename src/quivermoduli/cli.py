@@ -127,7 +127,8 @@ def load_problem(args) -> ProblemSpec:
     if args.example and args.input:
         raise ValueError("give either an input file or --example, not both")
     if args.example:
-        family, params, setup = example_from_spec(args.example)
+        # every command enumerates the box, so one the guard refuses is never built
+        family, params, setup = example_from_spec(args.example, args.max_box)
         problem = ProblemSpec(*setup, False, (family, params))
     elif args.input:
         if args.input == "-":

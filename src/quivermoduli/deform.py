@@ -6,13 +6,17 @@ subvectors, and must separate d from all its proper subvectors
 (coprimality). Such a deformation always exists for indivisible d and is
 constructed here by an explicit search for a separating covector eta,
 which solves eta(d) = 0 for one coordinate instead of enumerating it.
+The search sets the coordinates depth first and drops a prefix once no
+extension can vanish on d or once eta vanishes on a critical vector
+that the prefix already fixes; it visits the rest in the order of the
+full enumeration, so it finds the same eta (see _search_eta).
 Every constructed deformation is verified by is_generic_deformation.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
     DEFAULT_MAX_BOX,
@@ -89,28 +93,55 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
     coordinates ordered 0 < 1 < -1 < 2 < -2 < ...; this keeps coefficients
     small and the output reproducible.
 
-    Only the coordinates other than k, the last index with d_k != 0, are
-    enumerated: eta(d) = 0 leaves x_k = -sum_{i<k} x_i d_i / d_k, kept when
-    it is an integer with |x_k| <= the sup-norm. The coordinates after k
-    meet d in zeros, and x_k is a function of the coordinates before it,
-    so the candidates come in the order of the full enumeration. The
-    enumeration itself is the test oracle in tests/deform_oracle.py.
+    Each sup-norm is searched depth first, setting coordinates 0..n-1 in
+    turn. Only x_k, at the last index k with d_k != 0, is not enumerated:
+    eta(d) = 0 leaves x_k = -sum_{i<k} x_i d_i / d_k, kept when it is an
+    integer with |x_k| <= the sup-norm. Two tests cut a prefix with all its
+    extensions:
+    - a head x_0..x_j (j < k) whose partial sum |sum_{i<=j} x_i d_i|
+      exceeds bound * (sum_{j<i<k} d_i + d_k) leaves no x_k in range;
+    - each critical e is tested once, at the index of its last nonzero
+      coordinate, where eta(e) is already fixed.
+    A cut prefix has no valid extension, and the walk visits the others in
+    lexicographic order, so it returns the first valid candidate of the
+    full enumeration, the test oracle in tests/deform_oracle.py.
     """
     coords = d.coords
+    n = len(coords)
     k = max(i for i, c in enumerate(coords) if c)
-    head, dk = coords[:k], coords[k]
-    vectors = [e.coords for e in critical]
+    dk = coords[k]
+    # reach[j]: the largest |sum_{j<i<=k} x_i d_i| at sup-norm 1
+    reach = [sum(coords[j + 1 : k + 1]) for j in range(n)]
+    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    for e in critical:
+        last = max(i for i, c in enumerate(e.coords) if c)
+        checks[last].append(e.coords[: last + 1])
+    eta = [0] * n
+
+    def walk(i: int, partial: int, bound: int, values: list[int]) -> bool:
+        # partial = sum_{j<i} eta_j d_j
+        if i == n:
+            return max(map(abs, eta)) == bound
+        if i == k:
+            xk, rest = divmod(-partial, dk)
+            choices = () if rest or abs(xk) > bound else (xk,)
+        else:
+            choices = values
+        for x in choices:
+            nxt = partial + x * coords[i]
+            if i < k and abs(nxt) > bound * reach[i]:
+                continue
+            eta[i] = x
+            if all(sum(map(operator.mul, eta, e)) for e in checks[i]) and walk(
+                i + 1, nxt, bound, values
+            ):
+                return True
+        return False
+
     for bound in range(1, max_norm + 1):
         values = sorted(range(-bound, bound + 1), key=_coord_key)
-        for others in product(values, repeat=len(coords) - 1):
-            xk, rest = divmod(-sum(x * c for x, c in zip(others, head)), dk)
-            if rest or abs(xk) > bound:
-                continue
-            eta = others[:k] + (xk,) + others[k:]
-            if max(abs(x) for x in eta) != bound:
-                continue
-            if all(sum(x * c for x, c in zip(eta, e)) for e in vectors):
-                return Stability(eta)
+        if walk(0, 0, bound, values):
+            return Stability(tuple(eta))
     raise EtaSearchExhausted(max_norm)
 
 

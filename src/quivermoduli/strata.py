@@ -103,6 +103,10 @@ def luna_types(
     weight zero on every part. This is a conservative superset of the
     types of actually existing polystables: no nonemptiness filtering
     happens here. The trivial type ((d, 1)) comes first.
+
+    The walk runs on coordinate tuples and builds a LunaType only for the
+    types it emits; the same walk in DimVector arithmetic is the test
+    oracle in tests/strata_oracle.py.
     """
     q._check(d)
     if d.is_zero:
@@ -111,24 +115,25 @@ def luna_types(
     check_box(d, max_box)
     candidates = [e for e in box_iter(d) if not e.is_zero and tnorm(e) == 0]
     candidates.sort(key=lambda e: e.coords, reverse=True)
+    coords = [e.coords for e in candidates]
     out: list[LunaType] = []
 
-    def extend(idx: int, remaining: DimVector, chosen: tuple) -> None:
-        if remaining.is_zero:
-            out.append(LunaType(chosen))
+    # chosen holds (candidate index, multiplicity) pairs
+    def extend(idx: int, remaining: tuple[int, ...], chosen: tuple) -> None:
+        if not any(remaining):
+            out.append(LunaType(tuple((candidates[i], m) for i, m in chosen)))
             return
-        if idx == len(candidates):
+        if idx == len(coords):
             return
-        part = candidates[idx]
-        if part.leq(remaining):
-            top = min(
-                remaining[i] // part[i] for i in range(len(part)) if part[i] > 0
-            )
+        part = coords[idx]
+        if all(map(operator.le, part, remaining)):
+            top = min(r // p for r, p in zip(remaining, part) if p)
             for mult in range(top, 0, -1):
-                extend(idx + 1, remaining - mult * part, chosen + ((part, mult),))
+                rest = tuple(r - mult * p for r, p in zip(remaining, part))
+                extend(idx + 1, rest, chosen + ((idx, mult),))
         extend(idx + 1, remaining, chosen)
 
-    extend(0, d, ())
+    extend(0, d.coords, ())
     return out
 
 

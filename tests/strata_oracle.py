@@ -1,4 +1,10 @@
-"""Test oracle for stratum_records: every field from per-call Euler forms.
+"""Test oracles for luna_types and stratum_records.
+
+``luna_types_by_dimvectors`` is the decomposition-type walk in
+DimVector arithmetic: it compares parts with ``DimVector.leq``, subtracts
+DimVectors and builds a LunaType for every type. The package walks the
+same recursion over coordinate tuples and builds objects only for the
+types it emits, so the two must agree in value and in order.
 
 ``stratum_records_per_call`` walks the same luna_types and fills each
 StratumRecord field straight from its formula, calling ``q.euler_form``
@@ -17,10 +23,36 @@ from quivermoduli import (
     Quiver,
     Stability,
     StratumRecord,
+    box_iter,
     luna_types,
+    normalize_stability,
 )
 
 HALF = Fraction(1, 2)
+
+
+def luna_types_by_dimvectors(q: Quiver, d: DimVector, theta: Stability) -> list[LunaType]:
+    q._check(d)
+    tnorm = normalize_stability(theta, d)
+    candidates = [e for e in box_iter(d) if not e.is_zero and tnorm(e) == 0]
+    candidates.sort(key=lambda e: e.coords, reverse=True)
+    out: list[LunaType] = []
+
+    def extend(idx: int, remaining: DimVector, chosen: tuple) -> None:
+        if remaining.is_zero:
+            out.append(LunaType(chosen))
+            return
+        if idx == len(candidates):
+            return
+        part = candidates[idx]
+        if part.leq(remaining):
+            top = min(remaining[i] // part[i] for i in range(len(part)) if part[i] > 0)
+            for mult in range(top, 0, -1):
+                extend(idx + 1, remaining - mult * part, chosen + ((part, mult),))
+        extend(idx + 1, remaining, chosen)
+
+    extend(0, d, ())
+    return out
 
 
 def _record(q: Quiver, d: DimVector, xi: LunaType, theta_prime: Stability) -> StratumRecord:

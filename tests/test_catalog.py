@@ -3,10 +3,12 @@ from itertools import product
 import pytest
 
 from quivermoduli import (
+    BoxGuardExceeded,
     DimVector,
     MarkedPartition,
     Stability,
     abelianized_quiver,
+    box_size,
     build_example,
     complete_bipartite,
     is_generic_deformation,
@@ -62,6 +64,31 @@ class TestBuildExample:
             build_example("determinantal", [2, 3])
         with pytest.raises(ValueError):
             build_example("points", [4, 1])
+
+    def test_non_integer_parameter(self):
+        with pytest.raises(ValueError) as exc:
+            build_example("determinantal", [2.0, 1])
+        assert str(exc.value) == "example determinantal parameters must be integers, got 2.0"
+
+    def test_wrong_parameter_count(self):
+        with pytest.raises(ValueError) as exc:
+            build_example("determinantal", [2, 1, 5])
+        assert str(exc.value) == "example determinantal takes m,r with 1 <= r <= m"
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("levi_adjoint", [10**9]), ("points", [10**9, 2]), ("determinantal", [10**6, 10**6])],
+    )
+    def test_box_guard_before_build(self, family, params):
+        with pytest.raises(BoxGuardExceeded):
+            build_example(family, params, max_box=10**6)
+
+    @pytest.mark.parametrize("family,params", ALL_FAMILY_CASES)
+    def test_box_guard_passes_the_box_itself(self, family, params):
+        cells = box_size(build_example(family, params).dim_vector)
+        assert build_example(family, params, max_box=cells) == build_example(family, params)
+        with pytest.raises(BoxGuardExceeded):
+            build_example(family, params, max_box=cells - 1)
 
     @pytest.mark.parametrize("family,params", ALL_FAMILY_CASES)
     def test_structural_validation(self, family, params):

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import time
 
 import pytest
 
@@ -67,6 +68,31 @@ class TestExamplesAndInfo:
         code, out, err = run(capsys, ["info", "--example", "levi_adjoint:40"])
         assert code == 2 and out == ""
         assert err.startswith("error: precondition:") and "--max-box" in err
+
+    @pytest.mark.parametrize(
+        "spec", ["levi_adjoint:2000", "levi_adjoint:1000000000", "points:2000,3", "levi_adjoint:20"]
+    )
+    def test_example_box_guard_before_build(self, capsys, monkeypatch, spec):
+        def refuse(*args):
+            raise AssertionError("quiver built before the box guard")
+
+        monkeypatch.setattr("quivermoduli.catalog.Quiver", refuse)
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["info", "--example", spec])
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: precondition: enumeration needs more box cells")
+        assert "--max-box" in err
+
+    def test_example_box_guard_follows_max_box(self, capsys):
+        # levi_adjoint:3 has 8 box cells: refused under 7, answered at 8
+        assert run(capsys, ["info", "--example", "levi_adjoint:3", "--max-box", "7"])[0] == 2
+        assert run(capsys, ["info", "--example", "levi_adjoint:3", "--max-box", "8"])[0] == 0
+
+    def test_example_parameters_checked_before_the_guard(self, capsys):
+        code, out, err = run(capsys, ["info", "--example", "points:2000,1"])
+        assert code == 1 and out == ""
+        assert err == "error: input: point_configurations needs m >= 1 and d >= 2\n"
 
 
 class TestIc:

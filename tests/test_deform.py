@@ -94,6 +94,22 @@ class TestGenericDeformation:
         with pytest.raises(PreconditionError):
             generic_deformation(Stability((1, 1)), DimVector((1, 1)))
 
+    @pytest.mark.parametrize(
+        "dims, eta",
+        [
+            ((1,) * 5, (2, 2, 2, -3, -3)),
+            ((1,) * 6, (1, -3, -3, -3, 4, 4)),
+            ((1,) * 7, (3, 3, 3, 3, -4, -4, -4)),
+            ((1,) * 8, (1, -4, -4, -4, -4, 5, 5, 5)),
+            ((2, 1, 1, 1, 1), (3, -1, 3, -4, -4)),
+        ],
+    )
+    def test_levi_adjoint_pins(self, dims, eta):
+        # theta = 0 makes the deformation eta itself; the values are those of
+        # the unpruned search, which takes about a minute on eight vertices
+        d = DimVector(dims)
+        assert generic_deformation(Stability((0,) * len(d)), d) == Stability(eta)
+
     def test_output_self_validates(self):
         rng = random.Random(53)
         checked = 0
@@ -134,6 +150,9 @@ def eta_problems(draw):
 # the solved coordinate is not the last one, and has d_k > 1
 @example((DimVector((1, 3, 0, 0)), Stability((3, -1, 2, 0)), 3))
 @example((DimVector((0, 2, 3, 0)), Stability((0, 0, 0, 1)), 2))
+# a head prefix leaves no x_k in range (d_k = 2, head coordinate 3)
+@example((DimVector((3, 2)), Stability((0, 0)), 3))
+@example((DimVector((3, 1, 2, 0)), Stability((1, 1, -2, 0)), 3))
 # one vertex: nothing but eta = 0 vanishes on d, so the search exhausts
 @example((DimVector((1,)), Stability((0,)), 3))
 def test_solved_coordinate_matches_enumeration(problem):

@@ -6,7 +6,7 @@ import pytest
 from hn_oracle import hn_problems
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from strata_oracle import stratum_records_per_call
+from strata_oracle import luna_types_by_dimvectors, stratum_records_per_call
 
 import quivermoduli.strata as strata_module
 from quivermoduli import (
@@ -87,6 +87,18 @@ class TestLunaTypes:
         d = DimVector((1, 1, 2))
         for xi in luna_types(complete_with_loops(3), d, Stability((0, 0, 0))):
             assert xi.total() == d
+
+    @pytest.mark.parametrize("l, count", [(7, 877), (8, 4140)])
+    def test_torus_counts(self, l, count):
+        # the Bell numbers: every set partition of the l unit vectors
+        types = luna_types(complete_with_loops(l), DimVector((1,) * l), Stability((0,) * l))
+        assert len(types) == count
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hn_problems(vertices=(1, 4)))
+    def test_matches_dimvector_walk(self, problem):
+        q, d, theta = problem
+        assert luna_types(q, d, theta) == luna_types_by_dimvectors(q, d, theta)
 
 
 class TestLocalQuiver:
