@@ -174,21 +174,65 @@ def ratfunc_json(r: RatFunc) -> dict:
 def _record_json(rec) -> dict:
     """One strata or smallness row: a StratumRecord's ten fields."""
     return {
-        "type": [[list(part.coords), mult] for part, mult in rec.luna_type.parts],
+        "type": [[part.coords, mult] for part, mult in rec.luna_type.parts],
         "trivial": rec.luna_type.is_trivial,
         "filtered": rec.filtered,
         "reason": rec.reason,
-        "local_arrows": None
-        if rec.local_quiver is None
-        else [list(r) for r in rec.local_quiver.arrows],
-        "local_dim": None if rec.local_dim is None else list(rec.local_dim.coords),
-        "local_stability": None
-        if rec.local_stability is None
-        else list(rec.local_stability.weights),
+        "local_arrows": None if rec.local_quiver is None else rec.local_quiver.arrows,
+        "local_dim": None if rec.local_dim is None else rec.local_dim.coords,
+        "local_stability": None if rec.local_stability is None else rec.local_stability.weights,
         "fiber_bound": None if rec.fiber_bound is None else frac_str(rec.fiber_bound),
         "codim_bound": rec.codim_bound,
         "margin": None if rec.margin is None else frac_str(rec.margin),
     }
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_text(value) -> str:
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
+    other value raises TypeError. A list of plain ints is one join.
+    """
+    chunks: list[str] = []
+    put = chunks.append
+
+    # pad is a newline plus the indentation of the line value starts on
+    def write(value, pad: str) -> None:
+        inner = pad + "  "
+        if isinstance(value, str):
+            put(_encode_str(value))
+        elif value is None or value is True or value is False:
+            put(_CONSTANTS[value])
+        elif isinstance(value, int):
+            put(int.__repr__(value))
+        elif isinstance(value, (list, tuple)) and {*map(type, value)} == {int}:
+            put(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
+        elif isinstance(value, (list, tuple)):
+            put("[")
+            for item in value:
+                put(inner)
+                write(item, inner)
+                put(",")
+            # the closing bracket replaces the last comma, or the opening one
+            chunks[-1] = pad + "]" if value else "[]"
+        elif isinstance(value, dict):
+            put("{")
+            for key in sorted(value):
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                put(f"{inner}{_encode_str(key)}: ")
+                write(value[key], inner)
+                put(",")
+            chunks[-1] = pad + "}" if value else "{}"
+        else:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    write(value, "\n")
+    return "".join(chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +507,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: input: {exc}\n")
         return 1
     if args.json:
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json_text(payload) + "\n")
     else:
         _print_pretty(payload, sys.stdout)
     return 0

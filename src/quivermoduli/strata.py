@@ -11,18 +11,17 @@ Once the two hypotheses of the certification hold this always succeeds,
 so the verdict is decided by the hypotheses; the per-type bounds are
 still computed and checked.
 
-Every bound is a function of the form chi(p, p') on the parts of a type.
-One walk over the types reads chi from a single table, filled on demand
-with the pairs of parts that occur; the public per-type bounds build such
-a table for their one type and run the same helpers.
-
-All bounds are exact half-integers (Fractions with denominator 1 or 2).
+Every bound is a function of the Gram matrix of the form on the parts of
+a type. One walk over the types reads it from a single table keyed by the
+parts' coordinate tuples; the public per-type bounds compute it for their
+one type and run the same helpers. The bounds are computed doubled, in
+integers, and the half-integer ones are returned as Fractions.
 """
 
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -39,11 +38,6 @@ from .core import (
 )
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, NegativeArrowCountError, PreconditionError
-
-HALF = Fraction(1, 2)
-
-# chi(p, p') for dimension vectors p, p' of one quiver, as _euler_table gives it
-_EulerTable = Callable[[DimVector, DimVector], int]
 
 
 @dataclass(frozen=True)
@@ -94,6 +88,12 @@ class LunaType:
         )
 
 
+#: Most candidate parts luna_types walks; more raise PreconditionError.
+#: The type count grows much faster than the candidates: levi_adjoint(10),
+#: with 1,023 candidates, has Bell(10) = 115,975 types.
+MAX_LUNA_CANDIDATES = 1000
+
+
 def luna_types(
     q: Quiver, d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
 ) -> list[LunaType]:
@@ -104,9 +104,13 @@ def luna_types(
     types of actually existing polystables: no nonemptiness filtering
     happens here. The trivial type ((d, 1)) comes first.
 
-    The walk runs on coordinate tuples and builds a LunaType only for the
-    types it emits; the same walk in DimVector arithmetic is the test
-    oracle in tests/strata_oracle.py.
+    The walk takes the candidates in descending lexicographic order and
+    emits types in lexicographic order of their (candidate, -multiplicity)
+    sequences. A frame loops only over the candidates that can cover the
+    remainder's first nonzero coordinate and recurses only on a chosen
+    part, so the depth is at most the number of parts. More than
+    MAX_LUNA_CANDIDATES candidates raise PreconditionError first. The
+    oracle is the DimVector walk in tests/strata_oracle.py.
     """
     q._check(d)
     if d.is_zero:
@@ -114,51 +118,53 @@ def luna_types(
     tnorm = normalize_stability(theta, d)
     check_box(d, max_box)
     candidates = [e for e in box_iter(d) if not e.is_zero and tnorm(e) == 0]
+    if len(candidates) > MAX_LUNA_CANDIDATES:
+        raise PreconditionError(
+            f"{len(candidates)} candidate parts for decomposition types, "
+            f"more than the {MAX_LUNA_CANDIDATES} allowed"
+        )
     candidates.sort(key=lambda e: e.coords, reverse=True)
     coords = [e.coords for e in candidates]
+    # the parts whose first nonzero coordinate is i form the block begin[i]:stop[i]
+    leads = [next(i for i, c in enumerate(p) if c) for p in coords]
+    begin = [bisect_left(leads, i) for i in range(len(d))]
+    stop = [bisect_right(leads, i) for i in range(len(d))]
     out: list[LunaType] = []
 
-    # chosen holds (candidate index, multiplicity) pairs
-    def extend(idx: int, remaining: tuple[int, ...], chosen: tuple) -> None:
-        if not any(remaining):
-            out.append(LunaType(tuple((candidates[i], m) for i, m in chosen)))
-            return
-        if idx == len(coords):
-            return
-        part = coords[idx]
-        if all(map(operator.le, part, remaining)):
-            top = min(r // p for r, p in zip(remaining, part) if p)
-            for mult in range(top, 0, -1):
-                rest = tuple(r - mult * p for r, p in zip(remaining, part))
-                extend(idx + 1, rest, chosen + ((idx, mult),))
-        extend(idx + 1, remaining, chosen)
+    def extend(start: int, remaining: tuple[int, ...], chosen: tuple) -> None:
+        # the next part covers the remainder's first nonzero coordinate
+        lead = next(i for i, r in enumerate(remaining) if r)
+        for idx in range(max(start, begin[lead]), stop[lead]):
+            part = coords[idx]
+            if all(map(operator.le, part, remaining)):
+                top = min(r // p for r, p in zip(remaining, part) if p)
+                for mult in range(top, 0, -1):
+                    rest = tuple(r - mult * p for r, p in zip(remaining, part))
+                    parts = chosen + ((candidates[idx], mult),)
+                    if any(rest):
+                        extend(idx + 1, rest, parts)
+                    else:
+                        out.append(LunaType(parts))
 
     extend(0, d.coords, ())
     return out
 
 
-def _euler_table(q: Quiver) -> _EulerTable:
-    """The form chi(p, p') of q, each pair computed on first use and kept.
-
-    One table serves one walk over decomposition types, so it holds the
-    Gram table of exactly the parts that occur there; nothing is computed
-    eagerly over all candidate pairs.
-    """
-    return cache(q.euler_form)
-
-
-def _local_quiver(chi: _EulerTable, xi: LunaType) -> tuple[Quiver, DimVector]:
+def _gram(q: Quiver, xi: LunaType) -> list[list[int]]:
+    """The form chi(d^k, d^l) on the parts of a type."""
     parts = [p for p, _ in xi.parts]
+    return [[q.euler_form(p, r) for r in parts] for p in parts]
+
+
+def _local_quiver(gram: list[list[int]], xi: LunaType) -> tuple[Quiver, DimVector]:
     matrix = []
-    for k, pk in enumerate(parts):
-        row = []
-        for l, pl in enumerate(parts):
-            count = (1 if k == l else 0) - chi(pk, pl)
-            if count < 0:
-                raise NegativeArrowCountError(k, l, count)
-            row.append(count)
-        matrix.append(tuple(row))
-    vertices = tuple(f"u{k + 1}" for k in range(len(parts)))
+    for k, row in enumerate(gram):
+        counts = tuple((k == l) - chi for l, chi in enumerate(row))
+        if min(counts) < 0:
+            l = next(l for l, count in enumerate(counts) if count < 0)
+            raise NegativeArrowCountError(k, l, counts[l])
+        matrix.append(counts)
+    vertices = tuple(f"u{k + 1}" for k in range(len(matrix)))
     return Quiver(vertices, tuple(matrix)), DimVector(tuple(m for _, m in xi.parts))
 
 
@@ -177,8 +183,13 @@ def local_quiver(
     raises NegativeArrowCountError: no tuple of pairwise non-isomorphic
     same-slope stables can realize such a type.
     """
-    lq, ld = _local_quiver(_euler_table(q), xi)
+    lq, ld = _local_quiver(_gram(q, xi), xi)
     return lq, ld, _local_stability(xi, theta_prime)
+
+
+def _nullcone_twice(q: Quiver, d: DimVector) -> int:
+    loop_term = sum((1 - q.arrows[i][i]) * d[i] for i in range(q.n))
+    return loop_term - q.euler_form(d, d) - 2 * d.total
 
 
 def nullcone_dim_bound(q: Quiver, d: DimVector) -> Fraction:
@@ -189,22 +200,29 @@ def nullcone_dim_bound(q: Quiver, d: DimVector) -> Fraction:
     if not q.is_symmetric:
         raise PreconditionError("quiver is not symmetric")
     q._check(d)
-    loop_term = sum((1 - q.arrows[i][i]) * d[i] for i in range(q.n))
-    return -HALF * q.euler_form(d, d) + HALF * loop_term - d.total
+    return Fraction(_nullcone_twice(q, d), 2)
 
 
-def _fiber_bound(
-    chi: _EulerTable, d: DimVector, xi: LunaType, local: Quiver, local_dim: DimVector
-) -> Fraction:
-    # the direct formula reads chi(d, d) as one table entry, while the
-    # local quiver's form expands it over the parts: an independent check
+def _codim_bound(dd: int, gram: list[list[int]]) -> int:
+    return 1 - dd - sum(1 - row[k] for k, row in enumerate(gram))
+
+
+def _fiber_and_margin(
+    dd: int, gram: list[list[int]], codim: int, local: Quiver, local_dim: DimVector
+) -> tuple[int, int]:
+    # twice the fibre bound and twice the margin; the direct fibre formula
+    # reads chi(d, d) as one value, the local quiver's form expands it
     if not local.is_symmetric:
         raise PreconditionError("local quiver is not symmetric")
-    self_terms = sum(chi(p, p) * m for p, m in xi.parts)
-    direct = -HALF * chi(d, d) + HALF * self_terms - xi.summand_count + 1
-    if direct != nullcone_dim_bound(local, local_dim) + 1:
+    selfs, mults = [row[k] for k, row in enumerate(gram)], local_dim.coords
+    count = sum(mults)
+    fiber = sum(map(operator.mul, selfs, mults)) - dd - 2 * count + 2
+    if fiber != _nullcone_twice(local, local_dim) + 2:
         raise InternalCheckError("fibre bound disagrees with the local-quiver bound")
-    return direct
+    margin = 1 - count - sum((1 - c) * (m - 1) for c, m in zip(selfs, mults))
+    if margin != fiber - codim:
+        raise InternalCheckError("margin identity failed")
+    return fiber, margin
 
 
 def fiber_dim_bound(q: Quiver, xi: LunaType) -> Fraction:
@@ -215,8 +233,7 @@ def fiber_dim_bound(q: Quiver, xi: LunaType) -> Fraction:
     nilpotent-moduli bound evaluated on the local quiver itself; the two
     must agree exactly.
     """
-    chi = _euler_table(q)
-    return _fiber_bound(chi, xi.total(), xi, *_local_quiver(chi, xi))
+    return _bounds(q, xi.total(), xi)[0]
 
 
 def _require_total(d: DimVector, xi: LunaType) -> None:
@@ -224,22 +241,10 @@ def _require_total(d: DimVector, xi: LunaType) -> None:
         raise ValueError("decomposition type does not sum to d")
 
 
-def _codim_bound(chi: _EulerTable, d: DimVector, xi: LunaType) -> int:
-    return 1 - chi(d, d) - sum(1 - chi(p, p) for p, _ in xi.parts)
-
-
 def codim_lower_bound(q: Quiver, d: DimVector, xi: LunaType) -> int:
     """Lower bound 1 - form(d,d) - sum_k (1 - form(d^k,d^k)) for the codimension."""
     _require_total(d, xi)
-    return _codim_bound(_euler_table(q), d, xi)
-
-
-def _margin(chi: _EulerTable, xi: LunaType, fiber: Fraction, codim: int) -> Fraction:
-    part_term = sum((1 - chi(p, p)) * (m - 1) for p, m in xi.parts)
-    margin = -HALF * part_term - HALF * (xi.summand_count - 1)
-    if margin != fiber - HALF * codim:
-        raise InternalCheckError("margin identity failed")
-    return margin
+    return _codim_bound(q.euler_form(d, d), _gram(q, xi))
 
 
 def smallness_margin(q: Quiver, d: DimVector, xi: LunaType) -> Fraction:
@@ -250,9 +255,14 @@ def smallness_margin(q: Quiver, d: DimVector, xi: LunaType) -> Fraction:
     fiber_dim_bound - codim_lower_bound / 2.
     """
     _require_total(d, xi)
-    chi = _euler_table(q)
-    fiber = _fiber_bound(chi, d, xi, *_local_quiver(chi, xi))
-    return _margin(chi, xi, fiber, _codim_bound(chi, d, xi))
+    return _bounds(q, d, xi)[1]
+
+
+def _bounds(q: Quiver, d: DimVector, xi: LunaType) -> tuple[Fraction, Fraction]:
+    dd, gram = q.euler_form(d, d), _gram(q, xi)
+    codim = _codim_bound(dd, gram)
+    fiber, margin = _fiber_and_margin(dd, gram, codim, *_local_quiver(gram, xi))
+    return Fraction(fiber, 2), Fraction(margin, 2)
 
 
 @dataclass(frozen=True)
@@ -271,27 +281,28 @@ class StratumRecord:
 
 
 def _stratum_record(
-    chi: _EulerTable, d: DimVector, xi: LunaType, theta_prime: Stability
+    dd: int, gram: list[list[int]], xi: LunaType, theta_prime: Stability
 ) -> StratumRecord:
-    codim = _codim_bound(chi, d, xi)
-    bad = [p for p, _ in xi.parts if chi(p, p) > 1]
+    codim = _codim_bound(dd, gram)
+    bad = [k for k, row in enumerate(gram) if row[k] > 1]
     if bad:
         reason = (
-            f"part {bad[0]} has negative expected stable moduli dimension "
-            f"({1 - chi(bad[0], bad[0])})"
+            f"part {xi.parts[bad[0]][0]} has negative expected stable moduli dimension "
+            f"({1 - gram[bad[0]][bad[0]]})"
         )
         return StratumRecord(xi, True, reason, None, None, None, None, codim, None)
     try:
-        lq, ld = _local_quiver(chi, xi)
+        lq, ld = _local_quiver(gram, xi)
     except NegativeArrowCountError as exc:
         return StratumRecord(xi, True, str(exc), None, None, None, None, codim, None)
     ls = _local_stability(xi, theta_prime)
     try:
-        fiber = _fiber_bound(chi, d, xi, lq, ld)
+        fiber, margin = _fiber_and_margin(dd, gram, codim, lq, ld)
     except PreconditionError as exc:
         return StratumRecord(xi, True, str(exc), lq, ld, ls, None, codim, None)
-    margin = _margin(chi, xi, fiber, codim)
-    return StratumRecord(xi, False, None, lq, ld, ls, fiber, codim, margin)
+    return StratumRecord(
+        xi, False, None, lq, ld, ls, Fraction(fiber, 2), codim, Fraction(margin, 2)
+    )
 
 
 def stratum_records(
@@ -310,17 +321,20 @@ def stratum_records(
     Every other type gets its local quiver, fibre bound and margin. No
     hypothesis of certify_smallness is checked here.
 
-    The walk reads the form from one table filled on demand, so each pair
-    of parts costs one euler_form call however many types share it, and
-    each record builds its local quiver once. Every record still
-    cross-checks its fibre bound against the nullcone bound of its local
-    quiver, and its margin against fibre - codim / 2.
+    The form is read from one table keyed by pairs of coordinate tuples
+    and filled on demand, so each pair of parts costs one euler_form call.
+    Every record cross-checks its fibre bound against the nullcone bound
+    of its local quiver, and its margin against fibre - codim / 2.
     """
-    chi = _euler_table(q)
-    return tuple(
-        _stratum_record(chi, d, xi, theta_prime)
-        for xi in luna_types(q, d, theta, max_box)
-    )
+    types = luna_types(q, d, theta, max_box)
+    chi = cache(lambda p, r: q.euler_form(DimVector(p), DimVector(r)))
+    dd = q.euler_form(d, d)
+    records = []
+    for xi in types:
+        coords = [p.coords for p, _ in xi.parts]
+        gram = [[chi(p, r) for r in coords] for p in coords]
+        records.append(_stratum_record(dd, gram, xi, theta_prime))
+    return tuple(records)
 
 
 @dataclass(frozen=True)

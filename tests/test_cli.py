@@ -4,9 +4,11 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quivermoduli.catalog import FAMILIES
-from quivermoduli.cli import COMMAND_TABLE, _build_parser, main
+from quivermoduli.cli import COMMAND_TABLE, _build_parser, _json_text, main
 from quivermoduli.core import Quiver
 
 KRONECKER2_PROBLEM = {
@@ -357,6 +359,18 @@ class TestStrataRows:
         assert rows[0]["filtered"] and rows[0]["local_arrows"] is None
 
 
+class TestTooManyCandidateParts:
+    @pytest.mark.parametrize("command", ["strata", "smallness"])
+    @pytest.mark.parametrize("spec", ["levi_adjoint:10", "levi_adjoint:11"])
+    def test_refused_before_the_walk(self, capsys, command, spec):
+        # 1,023 and 2,047 candidate parts; the walk would meet Bell(10) and Bell(11) types
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, "--example", spec, "--json"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: precondition: ") and "candidate parts" in err
+
+
 class TestSmallness:
     def test_kronecker31_not_applicable_with_closed_form(self, capsys):
         code, payload, _ = run_json(
@@ -478,3 +492,46 @@ class TestDeterminismAndRoundTrip:
             assert code == 0
             reparsed = json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
             assert reparsed == out
+
+
+# text with non-ASCII, quotes, backslashes, control characters and lone surrogates
+JSON_TEXT = st.text(
+    st.characters(exclude_categories=())
+    | st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
+    | st.sampled_from('"\\\x00\x1f'),
+    max_size=6,
+)
+
+# every kind of value the writer takes, ints negative and beyond 2^64 included
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.lists(st.integers(-(2**70), 2**70), max_size=4)
+    | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(JSON_VALUES)
+    def test_matches_json_dumps(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            '"\\\x00\x1f\x7f\u00e9\u2603\ud800\U0001f600',
+            -(2**64) - 1,
+            [[], {}, (), [[]]],
+            {"b": [True, None, False], "a": {"": (1, -2)}},
+        ],
+    )
+    def test_edge_values(self, value):
+        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: 0}, [0, {"a": 0.0}], {"a": {None: 1}}])
+    def test_other_types_raise(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)

@@ -1,5 +1,6 @@
 import dataclasses
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,26 @@ class TestLunaTypes:
         # the Bell numbers: every set partition of the l unit vectors
         types = luna_types(complete_with_loops(l), DimVector((1,) * l), Stability((0,) * l))
         assert len(types) == count
+
+    def test_walk_depth_follows_the_parts(self):
+        # levi_adjoint(8) has 255 candidate parts; a frame per candidate would
+        # pass this limit, which leaves pytest about 90 frames of room
+        q, d, theta, _ = example_from_spec("levi_adjoint:8")[2]
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(120)
+        try:
+            types = luna_types(q, d, theta)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(types) == 4140
+
+    def test_too_many_candidates_refused(self):
+        # levi_adjoint(10) has 1,023 candidate parts and Bell(10) = 115,975 types
+        q, d, theta, _ = example_from_spec("levi_adjoint:10")[2]
+        with pytest.raises(PreconditionError, match="1023 candidate parts"):
+            luna_types(q, d, theta)
+        with pytest.raises(PreconditionError, match="1023 candidate parts"):
+            stratum_records(q, d, theta, theta)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(hn_problems(vertices=(1, 4)))
