@@ -15,10 +15,9 @@ import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .core import DimVector, Quiver, Stability
-from .errors import BoxGuardExceeded
+from .core import DimVector, Quiver, Stability, check_box
 from .strata import LunaType, local_quiver
 
 
@@ -27,21 +26,6 @@ class QuiverSetup(NamedTuple):
     dim_vector: DimVector
     stability: Stability
     deformed: Stability | None
-
-
-def _check_example_box(coords: Iterable[int], max_box: int | None) -> None:
-    """Refuse an example whose box exceeds max_box, before its quiver is built.
-
-    The count stops as soon as it passes max_box, so levi_adjoint:100000
-    is refused after about twenty coordinates. max_box None checks nothing.
-    """
-    if max_box is None:
-        return
-    cells = 1
-    for c in coords:
-        cells *= c + 1
-        if cells > max_box:
-            raise BoxGuardExceeded(None, max_box)
 
 
 def determinantal(m: int, r: int, *, max_box: int | None = None) -> QuiverSetup:
@@ -55,7 +39,7 @@ def determinantal(m: int, r: int, *, max_box: int | None = None) -> QuiverSetup:
     m, r = operator.index(m), operator.index(r)
     if not 1 <= r <= m:
         raise ValueError("determinantal needs 1 <= r <= m")
-    _check_example_box((1, r), max_box)
+    check_box((1, r), max_box)
     quiver = Quiver(("i", "j"), ((0, m), (m, 0)))
     return QuiverSetup(
         quiver,
@@ -76,7 +60,7 @@ def point_configurations(m: int, d: int, *, max_box: int | None = None) -> Quive
     m, d = operator.index(m), operator.index(d)
     if m < 1 or d < 2:
         raise ValueError("point_configurations needs m >= 1 and d >= 2")
-    _check_example_box(chain(repeat(1, m), (d,)), max_box)
+    check_box(chain(repeat(1, m), (d,)), max_box)
     vertices = tuple(f"i{k + 1}" for k in range(m)) + ("j",)
     arrows = [[0] * (m + 1) for _ in range(m + 1)]
     for k in range(m):
@@ -103,14 +87,14 @@ def levi_adjoint(*dims: int, max_box: int | None = None) -> QuiverSetup:
         l = operator.index(dims[0])
         if l < 1:
             raise ValueError("levi_adjoint needs at least one vertex")
-        _check_example_box(repeat(1, l), max_box)
+        check_box(repeat(1, l), max_box)
         coords = (1,) * l
         deformed = Stability((l - 1,) + (-1,) * (l - 1)) if l > 1 else Stability((0,))
     else:
         coords = tuple(map(operator.index, dims))
         if not coords or any(c < 1 for c in coords):
             raise ValueError("block sizes must be positive")
-        _check_example_box(coords, max_box)
+        check_box(coords, max_box)
         l = len(coords)
         deformed = None
     vertices = tuple(f"i{p + 1}" for p in range(l))
@@ -136,7 +120,7 @@ def complete_bipartite(
     ws = tuple(map(operator.index, sink_dims))
     if not vs or not ws or any(c < 1 for c in vs + ws):
         raise ValueError("block dimensions must be positive")
-    _check_example_box(vs + ws, max_box)
+    check_box(vs + ws, max_box)
     k, l = len(vs), len(ws)
     vertices = tuple(f"i{p + 1}" for p in range(k)) + tuple(f"j{qq + 1}" for qq in range(l))
     arrows = [[0] * (k + l) for _ in range(k + l)]
@@ -163,7 +147,7 @@ def kronecker_general(m: int, n: int, *, max_box: int | None = None) -> QuiverSe
     m, n = operator.index(m), operator.index(n)
     if m < 0 or n < 0:
         raise ValueError("arrow counts must be nonnegative")
-    _check_example_box((1, 1), max_box)
+    check_box((1, 1), max_box)
     quiver = Quiver(("i", "j"), ((0, m), (n, 0)))
     return QuiverSetup(quiver, DimVector((1, 1)), Stability((0, 0)), Stability((1, -1)))
 

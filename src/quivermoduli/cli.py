@@ -21,6 +21,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from itertools import repeat
 from typing import NamedTuple
 
 from .catalog import FAMILIES, abelianized_quiver, example_from_spec, rank_one_smallness_report
@@ -29,6 +30,7 @@ from .core import (
     DimVector,
     Quiver,
     Stability,
+    check_box,
     is_coprime,
     is_indivisible,
     moduli_dim,
@@ -142,6 +144,8 @@ def load_problem(args) -> ProblemSpec:
     if args.assume_nonempty:
         problem = problem._replace(assume_nonempty=True)
     if args.abelianize:
+        # the split problem has the all-ones vector on |d| vertices: 2^|d| cells
+        check_box(repeat(1, problem.dim_vector.total), args.max_box)
         quiver, dim, stab = abelianized_quiver(problem.quiver, problem.dim_vector, problem.stability)
         problem = problem._replace(quiver=quiver, dim_vector=dim, stability=stab, deformed=None)
     return problem

@@ -14,6 +14,7 @@ fractions.Fraction, never floats.
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -220,16 +221,28 @@ def box_size(d: DimVector) -> int:
     return size
 
 
-def check_box(d: DimVector, max_box: int = DEFAULT_MAX_BOX) -> None:
-    size = box_size(d)
-    if size > max_box:
-        raise BoxGuardExceeded(size, max_box)
+def check_box(coords: Iterable[int], max_box: int | None = DEFAULT_MAX_BOX) -> None:
+    """Refuse a box [0, coords] of more than max_box cells; None checks nothing.
+
+    The count stops as soon as it passes max_box, so coords may be endless.
+    """
+    if max_box is None:
+        return
+    cells = 1
+    for c in coords:
+        cells *= c + 1
+        if cells > max_box:
+            raise BoxGuardExceeded(max_box)
+
+
+def sub_box(s: tuple[int, ...]):
+    """All coordinate tuples 0 <= t <= s in ascending lexicographic order."""
+    return product(*(range(c + 1) for c in s))
 
 
 def box_iter(d: DimVector):
     """All vectors 0 <= e <= d in ascending lexicographic order."""
-    for combo in product(*(range(c + 1) for c in d.coords)):
-        yield DimVector(combo)
+    return map(DimVector, sub_box(d.coords))
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,13 @@ class PreconditionError(QuiverModuliError):
 
 
 class BoxGuardExceeded(PreconditionError):
-    """An enumeration over a dimension-vector box would be too large."""
+    """A box has more cells than the guard allows; check_box stops counting there."""
 
-    def __init__(self, required: int | None, allowed: int):
-        # required is None when the count stopped as soon as it passed allowed
-        self.required = required
+    def __init__(self, allowed: int):
         self.allowed = allowed
-        if required is None:
-            need = f"more box cells than the guard allows ({allowed})"
-        else:
-            need = f"{required} box cells but the guard allows {allowed}"
         super().__init__(
-            f"enumeration needs {need}; raise the guard (--max-box) if this size is intended"
+            f"enumeration needs more box cells than the guard allows ({allowed}); "
+            "raise the guard (--max-box) if this size is intended"
         )
 
 

@@ -51,13 +51,20 @@ def _mobius(n: int) -> int:
     return result
 
 
+def _mul_add(acc: dict, a: Mapping, b: Mapping, shift: int = 0, sign: int = 1) -> dict:
+    """Add sign * v^shift * a * b into acc, sign 1 or -1, and return acc."""
+    for p1, c1 in a.items():
+        p1 += shift
+        if sign < 0:
+            c1 = -c1
+        for p2, c2 in b.items():
+            acc[p1 + p2] = acc.get(p1 + p2, 0) + c1 * c2
+    return acc
+
+
 def _mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> dict[int, Scalar]:
     """Product of two Laurent polynomials given as {v-power: coefficient}."""
-    out: dict[int, Scalar] = {}
-    for p1, c1 in a.items():
-        for p2, c2 in b.items():
-            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
-    return out
+    return _mul_add({}, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -32,11 +32,12 @@ from .core import (
     is_coprime,
     normalize_stability,
     slope,
+    sub_box,
     symmetric_on_kernel,
 )
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, PreconditionError
-from .halfq import HalfLaurent, RatFunc, _mobius, _mul
+from .halfq import HalfLaurent, RatFunc, _mobius, _mul, _mul_add
 
 
 def _binomials(top: int) -> Callable[[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
@@ -72,15 +73,16 @@ def _binomials(top: int) -> Callable[[tuple[int, ...], tuple[int, ...]], dict[in
 
 def _hn_numerators(
     q: Quiver, d: DimVector, theta: Stability, max_box: int
-) -> dict[DimVector, dict[int, int]]:
+) -> tuple[dict[DimVector, dict[int, int]], Callable]:
     """Harder-Narasimhan recursion over the cells of the box [0, d].
 
     Returns G(e) = -[e]! p_e for every nonzero e <= d with slope(e) =
     slope(d), as an integer Laurent polynomial {k: coefficient of v^k},
-    where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). See p_poly for the
-    sum and the recursion. Cells are visited in ascending lexicographic
-    order, so every T < S is finished before S; only cells of slope at
-    least slope(d) are ever needed.
+    where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)), and the call's
+    Gaussian-binomial table, which the DT log reuses. See p_poly for the
+    sum and the recursion. Cells S, and the cells T <= S of each sub-box,
+    are visited in ascending lexicographic order, so every T < S is
+    finished before S; only cells of slope at least slope(d) are needed.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -90,9 +92,8 @@ def _hn_numerators(
     euler = q.euler_matrix()
     n = len(d)
     binom = _binomials(max(d))
-    zero = (0,) * n
     # cells that may end a proper partial sum, with their G values
-    sources: list[tuple[tuple[int, ...], dict[int, int]]] = [(zero, {0: 1})]
+    sources: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
     numerators: dict[DimVector, dict[int, int]] = {}
     for cell in box_iter(d):
         if cell.is_zero:
@@ -106,22 +107,16 @@ def _hn_numerators(
         es = [sum(row[j] * s[j] for j in range(n)) for row in euler]
         form_ss = sum(a * b for a, b in zip(s, es))
         acc: dict[int, int] = {}
-        for t, g in sources:
-            if any(a > b for a, b in zip(t, s)):
-                continue
-            # -v^(-2 form(S - T, S)) [S]! / ([T]! [S - T]!)
-            shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
-            factor = binom(s, t)
-            for p1, c1 in g.items():
-                for p2, c2 in factor.items():
-                    p = p1 + p2 + shift
-                    acc[p] = acc.get(p, 0) - c1 * c2
+        for t in sub_box(s):
+            if t in sources:  # -v^(-2 form(S - T, S)) [S]! / ([T]! [S - T]!) G(T)
+                shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
+                _mul_add(acc, sources[t], binom(s, t), shift, -1)
         acc = {p: c for p, c in acc.items() if c}
         if weight > 0:
-            sources.append((s, acc))
+            sources[s] = acc
         else:
             numerators[cell] = acc
-    return numerators
+    return numerators, binom
 
 
 def _factorial(e: DimVector, m: int = 0) -> dict[int, int]:
@@ -163,10 +158,10 @@ def p_poly(
     G(S) = [S]! F(S) steps by -v^(-2 form(S - T, S)) [S choose T] G(T), so the
     recursion runs in integer Laurent polynomials in v and p = -G(d) / [d]!
     is canonicalized once at the end.
-    The work is at most one step per pair T <= S of cells,
-    prod_i (d_i + 1)(d_i + 2) / 2, which is polynomial in the box.
+    Each cell S walks its sub-box [0, S], so the work is at most one step per
+    pair T <= S of cells, prod_i (d_i + 1)(d_i + 2) / 2, polynomial in the box.
     """
-    return _p_value(_hn_numerators(q, d, theta, max_box)[d], d)
+    return _p_value(_hn_numerators(q, d, theta, max_box)[0][d], d)
 
 
 def _require_q_polynomial(value: RatFunc, what: str) -> HalfLaurent:
@@ -215,7 +210,8 @@ def dt_invariants(
 
         M(e) = |e| S_N(e) - sum_{0 < e1 < e} [e choose e1] M(e1) S_N(e - e1)
 
-    for M(e) = |e| [e]! (log S)_e, one step per pair of slope-zero cells.
+    for M(e) = |e| [e]! (log S)_e. Each e walks its sub-box and steps at the
+    slope-zero e1 in it, at most prod_i (d_i + 1)(d_i + 2) / 2 pairs in all.
     The Moebius inversion of the Adams operations then reads
 
         |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(v -> v^m),
@@ -225,26 +221,22 @@ def dt_invariants(
     denominator |e| [e]!.
     """
     tnorm = normalize_stability(theta, d)
-    numerators = _hn_numerators(q, d, tnorm, max_box)
+    numerators, binom = _hn_numerators(q, d, tnorm, max_box)
     # S_N(e) = -(-v)^form(e,e) G(e), keyed by v-power
     series: dict[tuple[int, ...], dict[int, int]] = {}
     for e, g in numerators.items():
         form_ee = q.euler_form(e, e)
         sign = 1 if form_ee % 2 else -1
         series[e.coords] = {form_ee + p: sign * c for p, c in g.items()}
-    binom = _binomials(max(d))
     # M(e), cells in ascending lexicographic order, so every e1 < e comes first
     logs: dict[tuple[int, ...], dict[int, int]] = {}
     for s, s_n in series.items():
         size = sum(s)
         acc = {p: size * c for p, c in s_n.items()}
-        for t, m_t in logs.items():
-            if any(a > b for a, b in zip(t, s)):
-                continue
-            rest = series[tuple(si - ti for si, ti in zip(s, t))]
-            for p1, c1 in _mul(binom(s, t), m_t).items():
-                for p2, c2 in rest.items():
-                    acc[p1 + p2] = acc.get(p1 + p2, 0) - c1 * c2
+        for t in sub_box(s):
+            if t in logs:
+                rest = series[tuple(si - ti for si, ti in zip(s, t))]
+                _mul_add(acc, _mul(binom(s, t), logs[t]), rest, sign=-1)
         logs[s] = {p: c for p, c in acc.items() if c}
     rescale = HalfLaurent({-1: 1, 1: -1})
     invariants: dict[DimVector, RatFunc] = {}
@@ -255,9 +247,8 @@ def dt_invariants(
             mu = _mobius(m)
             if not mu or any(si % m for si in s):
                 continue
-            term = {p * m: mu * c for p, c in logs[tuple(si // m for si in s)].items()}
-            for p, c in _mul(term, _factorial(e, m)).items():
-                acc[p] = acc.get(p, 0) + c
+            term = {p * m: c for p, c in logs[tuple(si // m for si in s)].items()}
+            _mul_add(acc, term, _factorial(e, m), sign=mu)
         den = {p: sum(s) * c for p, c in _factorial(e).items()}
         invariants[e] = RatFunc.from_ratio(rescale * HalfLaurent(acc), HalfLaurent(den))
     return invariants

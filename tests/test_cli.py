@@ -188,6 +188,18 @@ class TestExitCodes:
         assert code == 2
         assert "--max-box" in err
 
+    def test_abelianize_guarded_before_the_split(self, capsys, monkeypatch):
+        # the split quiver would have 3000 vertices and 2^3000 box cells
+        problem = {"arrows": [[0]], "dimension": [3000], "stability": [0]}
+        start = time.perf_counter()
+        code, out, err = run_stdin_json(capsys, monkeypatch, ["info", "--abelianize"], problem)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out is None and err.count("\n") == 1
+        assert err == (
+            "error: precondition: enumeration needs more box cells than the guard allows "
+            "(1000000); raise the guard (--max-box) if this size is intended\n"
+        )
+
 
 class TestParser:
     def test_help_lists_every_command(self, capsys):

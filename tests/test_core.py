@@ -1,9 +1,11 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from quivermoduli import (
+    BoxGuardExceeded,
     DimVector,
     LunaType,
     MarkedPartition,
@@ -25,6 +27,7 @@ from quivermoduli import (
     slope,
     symmetric_on_kernel,
 )
+from quivermoduli.core import check_box, sub_box
 
 
 def kronecker(m, n=0):
@@ -194,10 +197,19 @@ class TestCoprime:
         assert is_coprime(Stability((0, 0)), DimVector((1, 0)))
 
     def test_box_guard(self):
-        from quivermoduli import BoxGuardExceeded
-
         with pytest.raises(BoxGuardExceeded):
             is_coprime(Stability((1, -1)), DimVector((100, 100)), max_box=100)
+
+
+class TestBox:
+    def test_guard_stops_counting_early(self):
+        with pytest.raises(BoxGuardExceeded) as exc:
+            check_box(itertools.repeat(1), 10**6)
+        assert exc.value.allowed == 10**6
+
+    @pytest.mark.parametrize("s", [(0,), (2, 0, 1), (1, 1, 1, 1)])
+    def test_sub_box_is_the_box_walk(self, s):
+        assert list(sub_box(s)) == [e.coords for e in box_iter(DimVector(s))]
 
 
 def symmetric_by_kernel_basis(q, theta):
