@@ -12,12 +12,11 @@ problem toric.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import chain, repeat
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .core import DimVector, Quiver, Stability, check_box
+from .core import DimVector, Quiver, Stability, _Record, check_box
 from .strata import LunaType, local_quiver
 
 
@@ -230,18 +229,20 @@ def _family(family: str):
 
 
 def abelianized_quiver(
-    q: Quiver, d: DimVector, theta: Stability
+    q: Quiver, d: DimVector, theta: Stability, *, max_box: int | None = None
 ) -> tuple[Quiver, DimVector, Stability]:
     """Split every vertex into d_i copies, replicating arrows between copies.
 
     The new quiver has vertices i_k for k = 1..d_i, one arrow i_k -> j_l
     for every arrow i -> j and every pair of copies, the all-ones
     dimension vector and the stability repeating theta(i) on every copy.
-    Moduli spaces for the result are toric.
+    Moduli spaces for the result are toric. Raises BoxGuardExceeded before
+    building anything when the split box (2^|d| cells) exceeds max_box.
     """
     q._check(d)
     if d.is_zero:
         raise ValueError("zero dimension vector")
+    check_box(repeat(1, d.total), max_box)
     index: list[tuple[int, int]] = []
     names: list[str] = []
     for i in range(q.n):
@@ -265,18 +266,18 @@ def abelianized_quiver(
 # point configurations: local data of a decomposition type
 
 
-@dataclass(frozen=True)
-class MarkedPartition:
+class MarkedPartition(_Record):
     """Partition of a positive integer with one distinguished part."""
 
+    __slots__ = ("parts", "marked")
     parts: tuple[int, ...]
     marked: int
 
-    def __post_init__(self):
-        parts = tuple(map(operator.index, self.parts))
+    def __init__(self, parts: tuple[int, ...], marked: int):
+        parts = tuple(map(operator.index, parts))
         if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        marked = operator.index(self.marked)
+        marked = operator.index(marked)
         if not 0 <= marked < len(parts):
             raise ValueError("marked index out of range")
         object.__setattr__(self, "parts", parts)
@@ -379,10 +380,10 @@ def point_config_closed_form(m: int, d: int, lam: MarkedPartition) -> dict:
 # rank-one matrices: exact smallness in closed form
 
 
-@dataclass(frozen=True)
-class RankOneSmallness:
+class RankOneSmallness(_Record):
     """Exact fibre and codimension data for the rank-one matrix family."""
 
+    __slots__ = ("m", "n", "fiber_dim", "stratum_codim", "small", "note")
     m: int
     n: int
     fiber_dim: int

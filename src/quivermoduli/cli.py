@@ -16,12 +16,11 @@ consistency failure. Every error prints one line on stderr.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import json
+import re
 import sys
 from fractions import Fraction
-from itertools import repeat
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .catalog import FAMILIES, abelianized_quiver, example_from_spec, rank_one_smallness_report
@@ -30,7 +29,6 @@ from .core import (
     DimVector,
     Quiver,
     Stability,
-    check_box,
     is_coprime,
     is_indivisible,
     moduli_dim,
@@ -126,13 +124,13 @@ def parse_problem_json(text: str) -> ProblemSpec:
 
 
 def load_problem(args) -> ProblemSpec:
-    if args.example and args.input:
+    if args.example is not None and args.input is not None:
         raise ValueError("give either an input file or --example, not both")
-    if args.example:
+    if args.example is not None:
         # every command enumerates the box, so one the guard refuses is never built
         family, params, setup = example_from_spec(args.example, args.max_box)
         problem = ProblemSpec(*setup, False, (family, params))
-    elif args.input:
+    elif args.input is not None:
         if args.input == "-":
             text = sys.stdin.read()
         else:
@@ -144,9 +142,9 @@ def load_problem(args) -> ProblemSpec:
     if args.assume_nonempty:
         problem = problem._replace(assume_nonempty=True)
     if args.abelianize:
-        # the split problem has the all-ones vector on |d| vertices: 2^|d| cells
-        check_box(repeat(1, problem.dim_vector.total), args.max_box)
-        quiver, dim, stab = abelianized_quiver(problem.quiver, problem.dim_vector, problem.stability)
+        quiver, dim, stab = abelianized_quiver(
+            problem.quiver, problem.dim_vector, problem.stability, max_box=args.max_box
+        )
         problem = problem._replace(quiver=quiver, dim_vector=dim, stability=stab, deformed=None)
     return problem
 
@@ -437,68 +435,188 @@ COMMAND_TABLE = {
 }
 
 
+#: Every option but -h/--help: name -> (metavar, or None for a switch, default,
+#: one-line help). The argv pass, the --help text and the parsed fields read
+#: this table; an option's field is its name without dashes, - read as _.
+_OPTION_TABLE = {
+    "--example": ("EXAMPLE", None, "catalog example, family:p1,p2,..."),
+    "--abelianize": (None, False, "split every vertex into unit-dimension copies before computing"),
+    "--assume-nonempty": (None, False, "record the nonemptiness assumption in the output"),
+    "--json": (None, False, "emit canonical JSON"),
+    "--max-box": ("MAX_BOX", DEFAULT_MAX_BOX, "cap on box-enumeration cells (default 10^6)"),
+}
+_DEFAULTS = {name[2:].replace("-", "_"): default for name, (_, default, _) in _OPTION_TABLE.items()}
+_LONG_OPTIONS = ("--help", *_OPTION_TABLE)
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
 def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+        raise ValueError(f"argument --max-box: must be a positive integer, got {text!r}")
     return value
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        # a usage error is an input error: main prints it on one line and exits 1
-        raise ValueError(message)
+def _option(token: str):
+    """(name, explicit value or None) for an option token, None for an operand.
+
+    name is "-h", "--help", a key of _OPTION_TABLE, or "" for an unknown
+    option; a unique prefix of a long name stands for it.
+    """
+    if token[:1] != "-" or token == "-":
+        return None
+    head, eq, value = token.partition("=")
+    if head == "-h" or head in _LONG_OPTIONS:
+        return head, value if eq else None
+    if token[1] == "-":
+        names = [name for name in _LONG_OPTIONS if name.startswith(head)]
+        if len(names) > 1:
+            raise ValueError(f"ambiguous option: {token} could match {', '.join(names)}")
+        if names:
+            return names[0], value if eq else None
+    elif token[1] == "h":
+        return "-h", token[2:]  # -hX reads as -h with the explicit value X
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return "", None
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser, built on the first call and shared by every later main call."""
-    listing = "".join(f"\n  {name:<10} {text}" for name, (_, text) in COMMAND_TABLE.items())
-    parser = _Parser(
-        prog="quivermoduli",
-        description="exact invariants of moduli of semistable quiver representations",
-        epilog="commands:" + listing,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    parser.add_argument("command", metavar="COMMAND", choices=COMMAND_TABLE)
-    parser.add_argument("input", nargs="?", help="problem JSON path, or - for stdin")
-    parser.add_argument("--example", help="catalog example, family:p1,p2,...")
-    parser.add_argument(
-        "--abelianize",
-        action="store_true",
-        help="split every vertex into unit-dimension copies before computing",
-    )
-    parser.add_argument(
-        "--assume-nonempty",
-        action="store_true",
-        help="record the nonemptiness assumption in the output",
-    )
-    parser.add_argument("--json", action="store_true", help="emit canonical JSON")
-    parser.add_argument(
-        "--max-box",
-        type=_positive_int,
-        default=DEFAULT_MAX_BOX,
-        help="cap on box-enumeration cells (default 10^6)",
-    )
-    # unless usage is set, parse_intermixed_args renders this same text for its
-    # error messages on every call and throws it away afterwards
-    parser.usage = parser.format_usage()[7:]
-    return parser
+def _parse_argv(argv):
+    """The fields of argv, or None when it asks for --help.
+
+    Options and at most two operands (COMMAND, then the input) mix freely;
+    an option takes its value as --opt=value or from the next token; the
+    last repeat of an option wins; after -- every token is an operand. A
+    -- before any operand is dropped instead, and the rest is read again
+    with its operands in one run, uninterrupted by options. Usage errors
+    raise ValueError.
+    """
+    fields = dict(_DEFAULTS)
+    operands: list[str] = []
+    unknown: list[str] = []
+    # None reads operands anywhere; after a dropped --, the operands must form
+    # one run, and run says whether it is still to come, "open" or "closed"
+    run = None
+    tokens = list(argv)
+    while True:
+        stop = tokens.index("--") if "--" in tokens else len(tokens)
+        # every token before -- is read first, so an ambiguous one is refused
+        # before any option acts; the None after them ends the last option
+        kinds = [_option(token) for token in tokens[:stop]] + [None]
+        i = 0
+        while i < stop:
+            kind = kinds[i]
+            if kind is None:
+                if run == "closed":
+                    unknown.append(tokens[i])
+                else:
+                    operands.append(tokens[i])
+                    if run == "before":
+                        run = "open"
+                        _check_command(tokens[i])
+                i += 1
+                continue
+            if run == "open":
+                run = "closed"
+            name, value = kind
+            if not name:
+                unknown.append(tokens[i])
+            elif name in ("-h", "--help"):
+                # -hh... repeats -h; any other explicit value is refused
+                if value is None or (name == "-h" and value and not value.strip("h")):
+                    return None
+                raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
+            elif _OPTION_TABLE[name][0] is None:
+                if value is not None:
+                    raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
+                fields[name[2:].replace("-", "_")] = True
+            else:
+                if value is None:
+                    # the value is the next token, which must be an operand before --
+                    if kinds[i + 1] is not None or i + 1 == stop:
+                        raise ValueError(f"argument {name}: expected one argument")
+                    i += 1
+                    value = tokens[i]
+                if name == "--max-box":
+                    value = _positive_int(value)
+                fields[name[2:].replace("-", "_")] = value
+            i += 1
+        if stop == len(tokens) or run is not None or operands:
+            break
+        # a -- before any operand is dropped, and the rest is read again
+        run, tokens = "before", tokens[stop + 1:]
+    if stop < len(tokens):
+        # a -- after a closed run is itself an extra token
+        if run == "closed":
+            unknown += tokens[stop:]
+        else:
+            operands += tokens[stop + 1:]
+    if operands:
+        _check_command(operands[0])
+    else:
+        raise ValueError("the following arguments are required: COMMAND")
+    unknown += operands[2:]
+    if unknown:
+        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
+    # a second operand that is itself -- stands for no input
+    fields["input"] = operands[1] if len(operands) > 1 and operands[1] != "--" else None
+    return SimpleNamespace(command=operands[0], **fields)
+
+
+def _check_command(name: str) -> None:
+    if name not in COMMAND_TABLE:
+        choices = ", ".join(map(repr, COMMAND_TABLE))
+        raise ValueError(f"argument COMMAND: invalid choice: {name!r} (choose from {choices})")
+
+
+def _wrap(first: str, words, indent: int) -> list[str]:
+    """first followed by words, wrapped greedily at 78 columns under a hanging indent."""
+    lines = [first]
+    for word in words:
+        if len(lines[-1]) + 1 + len(word) > 78:
+            lines.append(" " * indent + word)
+        else:
+            lines[-1] += " " + word
+    return lines
+
+
+def _help_text() -> str:
+    """The --help text, as argparse renders this grammar at 80 columns."""
+    rows = [("-h, --help", "show this help message and exit")]
+    rows += [
+        (f"{name} {metavar}" if metavar else name, text)
+        for name, (metavar, _, text) in _OPTION_TABLE.items()
+    ]
+    usage = ["[-h]"] + [f"[{invocation}]" for invocation, _ in rows[1:]]
+    column = max(len(invocation) for invocation, _ in rows) + 4
+    lines = _wrap("usage: quivermoduli", usage, 20)
+    lines += [" " * 20 + "COMMAND [input]", ""]
+    lines += ["exact invariants of moduli of semistable quiver representations", ""]
+    lines += ["positional arguments:", "  COMMAND"]
+    input_help = "problem JSON path, or - for stdin"
+    lines += _wrap(f"  {'input':<{column - 3}}", input_help.split(), column)
+    lines += ["", "options:"]
+    for invocation, text in rows:
+        lines += _wrap(f"  {invocation:<{column - 3}}", text.split(), column)
+    lines += ["", "commands:"]
+    lines += [f"  {name:<10} {text}" for name, (_, text) in COMMAND_TABLE.items()]
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        # intermixed: an option may also stand between COMMAND and input
-        args = parser.parse_intermixed_args(argv)
+        args = _parse_argv(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            sys.stdout.write(_help_text())
+            sys.exit(0)
         handler, _ = COMMAND_TABLE[args.command]
         if args.command != "examples":
             payload = handler(load_problem(args), args.max_box)
         elif args.input or args.example or args.abelianize or args.assume_nonempty:
-            parser.error("examples takes no input, --example, --abelianize or --assume-nonempty")
+            raise ValueError("examples takes no input, --example, --abelianize or --assume-nonempty")
         else:
             payload = handler()
     except PreconditionError as exc:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import gcd
@@ -26,14 +25,67 @@ from .errors import BoxGuardExceeded, InternalCheckError, PreconditionError
 DEFAULT_MAX_BOX = 10**6
 
 
-@dataclass(frozen=True)
-class DimVector:
+class _Record:
+    """Immutable value whose fields are its __slots__, in order.
+
+    Like a frozen dataclass: a subclass is built from its fields by position
+    or keyword, compares equal only to an instance of its own class with
+    equal fields, hashes as the tuple of its fields and shows them in its
+    repr. A subclass that validates defines its own __init__ and sets its
+    fields with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        if kwargs:
+            args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
+        if len(args) != len(names) or kwargs:
+            raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
+        for name, value in zip(names, args):
+            object.__setattr__(self, name, value)
+
+    def __init_subclass__(cls):
+        # _fields(self) is the tuple of field values; an attrgetter of one
+        # name gives the bare value, so that case is wrapped in a 1-tuple
+        get = operator.attrgetter(*cls.__slots__)
+        if len(cls.__slots__) > 1:
+            cls._fields = lambda self: get(self)
+        else:
+            cls._fields = lambda self: (get(self),)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, not field by field
+        return type(self), self._fields()
+
+
+class DimVector(_Record):
     """Nonnegative integer vector indexed by the vertices of a quiver."""
 
+    __slots__ = ("coords",)
     coords: tuple[int, ...]
 
-    def __post_init__(self):
-        coords = tuple(map(operator.index, self.coords))
+    def __init__(self, coords: tuple[int, ...]):
+        coords = tuple(map(operator.index, coords))
         if any(c < 0 for c in coords):
             raise ValueError(f"dimension vector must be nonnegative, got {coords}")
         object.__setattr__(self, "coords", coords)
@@ -79,14 +131,14 @@ class DimVector:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class Stability:
+class Stability(_Record):
     """Integer covector on the vertices, evaluated on dimension vectors."""
 
+    __slots__ = ("weights",)
     weights: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(operator.index, self.weights)))
+    def __init__(self, weights: tuple[int, ...]):
+        object.__setattr__(self, "weights", tuple(map(operator.index, weights)))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -121,20 +173,20 @@ class Stability:
         return "(" + ", ".join(str(w) for w in self.weights) + ")"
 
 
-@dataclass(frozen=True)
-class Quiver:
+class Quiver(_Record):
     """Finite quiver: ordered vertex names plus an arrow-multiplicity matrix.
 
     Entry ``arrows[i][j]`` counts arrows from vertex i to vertex j; diagonal
     entries are loops.
     """
 
+    __slots__ = ("vertices", "arrows")
     vertices: tuple[str, ...]
     arrows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        vertices = tuple(str(v) for v in self.vertices)
-        arrows = tuple(tuple(map(operator.index, row)) for row in self.arrows)
+    def __init__(self, vertices: tuple[str, ...], arrows: tuple[tuple[int, ...], ...]):
+        vertices = tuple(str(v) for v in vertices)
+        arrows = tuple(tuple(map(operator.index, row)) for row in arrows)
         n = len(vertices)
         if len(set(vertices)) != n:
             raise ValueError("vertex names must be unique")

@@ -16,12 +16,12 @@ Every constructed deformation is verified by is_generic_deformation.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .core import (
     DEFAULT_MAX_BOX,
     DimVector,
     Stability,
+    _Record,
     box_iter,
     check_box,
     is_indivisible,
@@ -32,10 +32,10 @@ from .errors import EtaSearchExhausted, InternalCheckError, PreconditionError
 DEFAULT_ETA_BOUND = 6
 
 
-@dataclass(frozen=True)
-class DeformationVerdict:
+class DeformationVerdict(_Record):
     """Outcome of a generic-deformation check with the offending vectors."""
 
+    __slots__ = ("passed", "violations")
     passed: bool
     violations: tuple[tuple[str, DimVector], ...]
 

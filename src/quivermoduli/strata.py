@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -31,6 +30,7 @@ from .core import (
     DimVector,
     Quiver,
     Stability,
+    _Record,
     box_iter,
     check_box,
     normalize_stability,
@@ -40,8 +40,7 @@ from .deform import is_generic_deformation
 from .errors import InternalCheckError, NegativeArrowCountError, PreconditionError
 
 
-@dataclass(frozen=True)
-class LunaType:
+class LunaType(_Record):
     """Multiset of (dimension vector, multiplicity) pairs.
 
     Canonical form: parts pairwise distinct, ordered by descending
@@ -49,11 +48,12 @@ class LunaType:
     folded by adding multiplicities.
     """
 
+    __slots__ = ("parts",)
     parts: tuple[tuple[DimVector, int], ...]
 
-    def __post_init__(self):
+    def __init__(self, parts: tuple[tuple[DimVector, int], ...]):
         folded: dict[DimVector, int] = {}
-        for part, mult in self.parts:
+        for part, mult in parts:
             mult = operator.index(mult)
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
@@ -265,10 +265,13 @@ def _bounds(q: Quiver, d: DimVector, xi: LunaType) -> tuple[Fraction, Fraction]:
     return Fraction(fiber, 2), Fraction(margin, 2)
 
 
-@dataclass(frozen=True)
-class StratumRecord:
+class StratumRecord(_Record):
     """Per-type row of the strata table and of a smallness report."""
 
+    __slots__ = (
+        "luna_type", "filtered", "reason", "local_quiver", "local_dim", "local_stability",
+        "fiber_bound", "codim_bound", "margin",
+    )
     luna_type: LunaType
     filtered: bool
     reason: str | None
@@ -337,8 +340,7 @@ def stratum_records(
     return tuple(records)
 
 
-@dataclass(frozen=True)
-class SmallnessReport:
+class SmallnessReport(_Record):
     """Outcome of a smallness certification.
 
     verdict is "Certified" or "NotApplicable" (a hypothesis failed, as
@@ -348,6 +350,10 @@ class SmallnessReport:
     echoed, never checked.
     """
 
+    __slots__ = (
+        "verdict", "reasons", "records", "assume_stable_nonempty", "kernel_symmetric",
+        "deformation_ok",
+    )
     verdict: str
     reasons: tuple[str, ...]
     records: tuple[StratumRecord, ...]

@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -122,6 +123,22 @@ class TestAbelianized:
         assert q2.arrows == ((1, 1), (1, 1))
         assert d2 == DimVector((1, 1))
         assert t2 == Stability((0, 0))
+
+    def test_guard_before_the_split(self):
+        # the split quiver would have 2000 vertices, a 2000 x 2000 arrow matrix
+        # and 2^2000 box cells
+        q = build_example("levi_adjoint", [1]).quiver
+        start = time.perf_counter()
+        with pytest.raises(BoxGuardExceeded):
+            abelianized_quiver(q, DimVector((2000,)), Stability((0,)), max_box=10**6)
+        assert time.perf_counter() - start < 0.1
+
+    def test_guard_admits_the_split_box(self):
+        q = build_example("levi_adjoint", [1]).quiver
+        _, d2, _ = abelianized_quiver(q, DimVector((3,)), Stability((0,)), max_box=8)
+        assert box_size(d2) == 8
+        with pytest.raises(BoxGuardExceeded):
+            abelianized_quiver(q, DimVector((3,)), Stability((0,)), max_box=7)
 
     def test_preserves_kernel_symmetry_on_small_instances(self):
         cases = [

@@ -4,11 +4,12 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings
+from cli_oracle import _build_parser, oracle_parse
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli.catalog import FAMILIES
-from quivermoduli.cli import COMMAND_TABLE, _build_parser, _json_text, main
+from quivermoduli.cli import COMMAND_TABLE, _help_text, _json_text, _parse_argv, main
 from quivermoduli.core import Quiver
 
 KRONECKER2_PROBLEM = {
@@ -152,6 +153,17 @@ class TestExitCodes:
         code, _, err = run(capsys, ["info"])
         assert code == 1
 
+    def test_empty_example_spec_is_read(self, capsys):
+        code, out, err = run(capsys, ["info", "--example", ""])
+        assert code == 1 and out == ""
+        assert err == "error: input: example must look like family:p1,p2,...\n"
+
+    def test_empty_input_path_is_opened(self, capsys):
+        code, out, err = run(capsys, ["info", ""])
+        assert code == 1 and out == ""
+        assert err.startswith("error: input: ") and err.count("\n") == 1
+        assert err.endswith("No such file or directory: ''\n")
+
     def test_shape_mismatch(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -201,6 +213,22 @@ class TestExitCodes:
         )
 
 
+_LONG_NAMES = ["--help", "--example", "--abelianize", "--assume-nonempty", "--json", "--max-box"]
+_OPTION_WORDS = st.sampled_from(_LONG_NAMES).flatmap(
+    lambda name: st.sampled_from([name[:k] for k in range(3, len(name) + 1)])
+)
+_VALUES = st.sampled_from(["5", "0", "-5", "many", "", "levi_adjoint:2", "-"])
+# argv tokens: commands, operands, long option names and their prefixes (so
+# "--a" is ambiguous), their =value forms, -h, --, values and unknown options;
+# -h carries no value here, since argparse releases disagree on "-hx"
+_ARGV_TOKENS = st.one_of(
+    st.sampled_from([*COMMAND_TABLE, "nonsense", "-", "p.json", "--", "-h", "-x", "--bogus"]),
+    _OPTION_WORDS,
+    st.builds("{}={}".format, _OPTION_WORDS, _VALUES),
+    _VALUES,
+)
+
+
 class TestParser:
     def test_help_lists_every_command(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -215,12 +243,15 @@ class TestParser:
     def test_reused_parser_gives_each_call_its_defaults(self, capsys):
         argv = ["info", "--example", "points:3,2"]  # 24 box cells
         _build_parser.cache_clear()
-        fresh = run(capsys, argv)
+        fresh, oracle = run(capsys, argv), oracle_parse(argv)
         assert fresh[0] == 0 and "dimension: [1, 1, 1, 2]" in fresh[1]
         options = ["--json", "--max-box", "5", "--abelianize"]
         first = run(capsys, ["info", "--example", "kronecker_general:2,2"] + options)
         assert first[0] == 0 and json.loads(first[1])["dimension"] == [1, 1]
+        assert oracle_parse(["info", "--example", "kronecker_general:2,2"] + options)[0] == "ok"
+        # neither the CLI nor the shared oracle parser keeps an earlier call's options
         assert run(capsys, argv) == fresh
+        assert oracle_parse(argv) == oracle
 
     def test_usage_error_leaves_parser_intact(self, capsys, tmp_path):
         problem = tmp_path / "problem.json"
@@ -232,17 +263,53 @@ class TestParser:
             assert run(capsys, bad)[0] == 1
             assert run(capsys, argv) == before
 
-    def test_help_matches_a_fresh_parser(self, capsys):
+    def test_help_matches_a_fresh_parser(self, capsys, monkeypatch):
         run(capsys, ["info", "--example", "levi_adjoint:2"])
-        with pytest.raises(SystemExit) as exc:
-            main(["--help"])
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
+        outputs = []
+        for flag in ("--help", "-h"):
+            with pytest.raises(SystemExit) as exc:
+                main([flag])
+            assert exc.value.code == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        monkeypatch.setenv("COLUMNS", "80")
         fresh = _build_parser.__wrapped__()
-        assert out == fresh.format_help()
-        # the preset usage text is the one argparse renders itself
+        assert outputs[0] == fresh.format_help()
+        # the oracle's preset usage text is the one argparse renders itself
         fresh.usage = None
-        assert out == fresh.format_help()
+        assert outputs[0] == fresh.format_help()
+
+    def test_help_text_ignores_the_terminal_width(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = capsys.readouterr().out
+        assert out == _help_text()
+        assert "[--abelianize]\n                    [--assume-nonempty]" in out
+
+    @settings(max_examples=400, deadline=None)
+    @given(argv=st.lists(_ARGV_TOKENS, max_size=6))
+    @example(argv=["--json", "--", "info", "-"])
+    @example(argv=["info", "--", "--"])
+    @example(argv=["--", "info", "--json"])
+    @example(argv=["--", "info", "--json", "x"])
+    @example(argv=["--", "info", "x", "--json", "--"])
+    @example(argv=["info", "--max-box", "-5"])
+    @example(argv=["--", "nonsense", "--help"])
+    @example(argv=["nonsense", "--help"])
+    @example(argv=["info", "-5"])
+    @example(argv=["info", "--max-box", "5", "--max-box=7", "--ex", "a:1", "--example=b:2"])
+    def test_same_verdict_as_the_oracle(self, argv):
+        expected = oracle_parse(argv)
+        try:
+            args = _parse_argv(argv)
+        except ValueError:
+            assert expected[0] == "error", (argv, expected)
+            return
+        if args is None:
+            assert expected == ("help", _help_text()), argv
+        else:
+            assert expected == ("ok", vars(args)), argv
 
     def test_options_in_any_position(self, capsys, monkeypatch):
         outputs = []

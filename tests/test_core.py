@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -6,6 +8,7 @@ import pytest
 
 from quivermoduli import (
     BoxGuardExceeded,
+    DeformationVerdict,
     DimVector,
     LunaType,
     MarkedPartition,
@@ -23,11 +26,13 @@ from quivermoduli import (
     moduli_dim,
     normalize_stability,
     point_configurations,
+    rank_one_smallness_report,
     skew_rank,
     slope,
     symmetric_on_kernel,
 )
 from quivermoduli.core import check_box, sub_box
+from quivermoduli.strata import SmallnessReport, StratumRecord
 
 
 def kronecker(m, n=0):
@@ -418,3 +423,45 @@ class TestNoTruncation:
         assert LunaType(((DimVector((1, 0)), 2),)).parts == ((DimVector((1, 0)), 2),)
         assert MarkedPartition((2, 1), 1).marked == 1
         assert determinantal(2, 1).dim_vector == DimVector((1, 1))
+
+
+_TYPE = LunaType(((DimVector((1, 0)), 2),))
+RECORDS = [
+    DimVector((1, 2)),
+    Stability((1, -1)),
+    Quiver(("i", "j"), ((0, 2), (0, 0))),
+    _TYPE,
+    MarkedPartition((2, 1), 1),
+    DeformationVerdict(False, (("tie", DimVector((1, 0))),)),
+    StratumRecord(_TYPE, False, None, None, None, None, Fraction(1, 2), 3, Fraction(-1, 2)),
+    SmallnessReport("Certified", (), (), False, True, True),
+    rank_one_smallness_report(2, 3),
+]
+
+
+class TestRecords:
+    """The value and record types behave as the frozen dataclasses they replace."""
+
+    @pytest.mark.parametrize("value", RECORDS, ids=lambda value: type(value).__name__)
+    def test_dataclass_behaviour(self, value):
+        cls, names = type(value), type(value).__slots__
+        fields = tuple(getattr(value, name) for name in names)
+        # the dataclass hash, so set and dict orders stay where they were
+        assert hash(value) == hash(fields)
+        assert cls(*fields) == value and cls(**dict(zip(names, fields))) == value
+        assert value != fields and value != object()
+        shown = ", ".join(f"{name}={field!r}" for name, field in zip(names, fields))
+        assert repr(value) == f"{cls.__name__}({shown})"
+        assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+        with pytest.raises(AttributeError):
+            setattr(value, names[0], fields[0])
+        with pytest.raises(AttributeError):
+            value.other = 1
+        with pytest.raises(TypeError):
+            cls(*fields, None)
+        with pytest.raises(TypeError):
+            cls(*fields[1:])
+
+    def test_equal_fields_of_another_type_differ(self):
+        assert DimVector((1, 2)) != Stability((1, 2))
+        assert len({DimVector((1, 2)), DimVector([1, 2]), Stability((1, 2))}) == 2

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -313,7 +312,10 @@ class TestCertify:
         q, d = complete_with_loops(3), DimVector((1, 1, 1))
         theta, theta_prime = Stability((0, 0, 0)), Stability((2, -1, -1))
         broken = tuple(
-            rec if rec.luna_type.is_trivial else dataclasses.replace(rec, margin=Fraction(0))
+            rec if rec.luna_type.is_trivial else strata_module.StratumRecord(
+                rec.luna_type, rec.filtered, rec.reason, rec.local_quiver, rec.local_dim,
+                rec.local_stability, rec.fiber_bound, rec.codim_bound, margin=Fraction(0),
+            )
             for rec in stratum_records(q, d, theta, theta_prime)
         )
         monkeypatch.setattr(strata_module, "stratum_records", lambda *args: broken)
