@@ -4,13 +4,10 @@ A deformed stability must keep every strictly destabilizing subvector
 strictly destabilizing, must not produce new nonpositive values on
 subvectors, and must separate d from all its proper subvectors
 (coprimality). Such a deformation always exists for indivisible d and is
-constructed here by an explicit search for a separating covector eta,
-which solves eta(d) = 0 for one coordinate instead of enumerating it.
-The search sets the coordinates depth first and drops a prefix once no
-extension can vanish on d or once eta vanishes on a critical vector
-that the prefix already fixes; it visits the rest in the order of the
-full enumeration, so it finds the same eta (see _search_eta).
-Every constructed deformation is verified by is_generic_deformation.
+constructed here from a separating covector eta, found by a pruned
+depth-first search (see _search_eta) within a sup-norm bound that d
+fixes (see generic_deformation). Every constructed deformation is
+verified by is_generic_deformation.
 """
 
 from __future__ import annotations
@@ -27,10 +24,6 @@ from .core import (
     is_indivisible,
 )
 from .errors import EtaSearchExhausted, InternalCheckError, PreconditionError
-
-#: Default sup-norm bound for the separating-covector search.
-DEFAULT_ETA_BOUND = 6
-
 
 class DeformationVerdict(_Record):
     """Outcome of a generic-deformation check with the offending vectors."""
@@ -104,7 +97,8 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
       coordinate, where eta(e) is already fixed.
     A cut prefix has no valid extension, and the walk visits the others in
     lexicographic order, so it returns the first valid candidate of the
-    full enumeration, the test oracle in tests/deform_oracle.py.
+    full enumeration, the test oracle in tests/deform_oracle.py, and raises
+    EtaSearchExhausted when none has sup-norm at most max_norm.
     """
     coords = d.coords
     n = len(coords)
@@ -149,7 +143,6 @@ def generic_deformation(
     theta: Stability,
     d: DimVector,
     max_box: int = DEFAULT_MAX_BOX,
-    max_eta_norm: int = DEFAULT_ETA_BOUND,
 ) -> Stability:
     """Construct a generic deformation of theta for an indivisible d.
 
@@ -158,6 +151,11 @@ def generic_deformation(
     values on the vectors where theta is strictly signed, and returns
     C * theta + eta. The output is verified against
     is_generic_deformation before being returned.
+
+    eta exists within sup-norm N = |d| B^(n-1), B = |d|^2 + 2: the covector
+    |d| B^i - sum_j d_j B^j vanishes on d and, read in base B, on no proper
+    nonzero e <= d; it is nonzero for n >= 2. On one vertex only eta = 0
+    vanishes on d, and EtaSearchExhausted is raised.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -167,7 +165,8 @@ def generic_deformation(
         raise PreconditionError("stability does not vanish on d; normalize it first")
     check_box(d, max_box)
     cells = [(e, theta(e)) for e in box_iter(d) if not e.is_zero and e != d]
-    eta = _search_eta(d, [e for e, te in cells if te == 0], max_eta_norm)
+    bound = sum(d.coords) * (sum(d.coords) ** 2 + 2) ** (len(d) - 1)
+    eta = _search_eta(d, [e for e, te in cells if te == 0], bound)
     # C must beat eta(e) where theta(e) < 0 and -eta(e) where theta(e) > 0
     scale = 1 + max([0] + [eta(e) if te < 0 else -eta(e) for e, te in cells if te])
     theta_prime = scale * theta + eta

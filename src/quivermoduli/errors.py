@@ -39,14 +39,14 @@ class NegativeArrowCountError(PreconditionError):
 
 
 class EtaSearchExhausted(PreconditionError):
-    """The separating-covector search hit its coefficient bound."""
+    """No nonzero covector within the bound separates d from its subvectors.
+
+    generic_deformation's bound always suffices on two or more vertices.
+    """
 
     def __init__(self, bound: int):
         self.bound = bound
-        super().__init__(
-            f"no separating covector with sup-norm at most {bound} exists; "
-            "retry with a larger search bound"
-        )
+        super().__init__(f"no nonzero separating covector with sup-norm at most {bound} exists")
 
 
 class InternalCheckError(QuiverModuliError):

@@ -164,6 +164,14 @@ class TestExitCodes:
         assert err.startswith("error: input: ") and err.count("\n") == 1
         assert err.endswith("No such file or directory: ''\n")
 
+    @pytest.mark.parametrize("argv", [["examples", ""], ["examples", "--example", ""]])
+    def test_examples_refuses_an_empty_input_or_example(self, capsys, argv):
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == ""
+        assert err == (
+            "error: input: examples takes no input, --example, --abelianize or --assume-nonempty\n"
+        )
+
     def test_shape_mismatch(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(
@@ -492,6 +500,30 @@ class TestOtherCommands:
         assert payload["verified"] is True
         assert payload["deformed_stability"] == [1, -1]
 
+    # d = (1, r) needs eta = (r, -1), of sup-norm r; the search bound grows with d
+    @pytest.mark.parametrize(
+        "command, spec, deformed",
+        [
+            ("deform", "determinantal:7,7", [7, -1]),
+            ("deform", "determinantal:8,8", [8, -1]),
+            ("strata", "levi_adjoint:1,8", [8, -1]),
+        ],
+    )
+    def test_deformation_found_beyond_sup_norm_six(self, capsys, command, spec, deformed):
+        code, payload, err = run_json(capsys, [command, "--example", spec])
+        assert code == 0 and err == ""
+        assert payload["deformed_stability"] == deformed
+        if command == "deform":
+            assert payload["verified"] is True and payload["violations"] == []
+
+    def test_deform_on_one_vertex_is_refused(self, capsys):
+        # only eta = 0 vanishes on d = (1), and it separates nothing
+        code, out, err = run(capsys, ["deform", "--example", "levi_adjoint:1"])
+        assert code == 2 and out == ""
+        assert err == (
+            "error: precondition: no nonzero separating covector with sup-norm at most 1 exists\n"
+        )
+
     def test_pd(self, capsys, tmp_path):
         problem = tmp_path / "problem.json"
         problem.write_text(json.dumps(KRONECKER2_PROBLEM), encoding="utf-8")
@@ -553,6 +585,66 @@ class TestOtherCommands:
         code, payload, _ = run_json(capsys, ["info", "-"])
         assert code == 0
         assert payload["coprime"] is True
+
+
+class TestPrettyOutput:
+    """The exact lines of the human-readable output, one case per printing rule."""
+
+    def test_examples(self, capsys):
+        code, out, _ = run(capsys, ["examples"])
+        assert code == 0
+        assert out.splitlines() == [
+            "available example families:",
+            "  bipartite: k,l,v1,...,vk,w1,...,wl (block counts then block sizes)",
+            "  determinantal: m,r with 1 <= r <= m",
+            "  kronecker_general: m,n (arrow counts in the two directions)",
+            "  levi_adjoint: l (torus case, all-ones), or block sizes d1,...,dl",
+            "  points: m,d with m >= 1 and d >= 2",
+        ]
+
+    def test_ic_without_a_deformed_stability_hides_the_resolution_route(
+        self, capsys, monkeypatch
+    ):
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(KRONECKER2_PROBLEM)))
+        code, out, _ = run(capsys, ["ic", "-"])
+        assert code == 0
+        assert out.splitlines() == [
+            "result: 1 + q",
+            "route_dt: 1 + q",
+            "assumed_nonempty: False",
+        ]
+
+    def test_smallness_prints_a_dict_without_pretty_as_json(self, capsys):
+        code, out, _ = run(capsys, ["smallness", "--example", "kronecker_general:1,2"])
+        assert code == 0
+        assert out.splitlines() == [
+            "verdict: NotApplicable",
+            'reasons: ["form is not symmetric on the kernel of the stability"]',
+            "records: []",
+            "assume_stable_nonempty: False",
+            "kernel_symmetric: False",
+            "deformation_ok: True",
+            "deformed_stability: [1, -1]",
+            "derived_deformation: False",
+            'closed_form: {"fiber_dim": 0, "note": "small (m <= n)", "small": true, '
+            '"stratum_codim": 2}',
+        ]
+
+    def test_strata_prints_one_row_per_line(self, capsys):
+        code, out, _ = run(capsys, ["strata", "--example", "levi_adjoint:2"])
+        assert code == 0
+        assert out.splitlines() == [
+            "deformed_stability: [1, -1]",
+            "derived_deformation: False",
+            "types: ",
+            '  - {"codim_bound": 0, "fiber_bound": "0", "filtered": false, '
+            '"local_arrows": [[3]], "local_dim": [1], "local_stability": [0], '
+            '"margin": "0", "reason": null, "trivial": true, "type": [[[1, 1], 1]]}',
+            '  - {"codim_bound": 1, "fiber_bound": "0", "filtered": false, '
+            '"local_arrows": [[1, 1], [1, 1]], "local_dim": [1, 1], '
+            '"local_stability": [1, -1], "margin": "-1/2", "reason": null, '
+            '"trivial": false, "type": [[[1, 0], 1], [[0, 1], 1]]}',
+        ]
 
 
 class TestDeterminismAndRoundTrip:

@@ -81,10 +81,18 @@ class TestGenericDeformation:
     def test_minimal_two_vertex(self):
         assert generic_deformation(Stability((0, 0)), DimVector((1, 1))) == Stability((1, -1))
 
-    @pytest.mark.parametrize("r", [1, 2, 3, 5])
+    # every eta vanishing on (1, r) is a multiple of (r, -1), of sup-norm r
+    @pytest.mark.parametrize("r", [1, 2, 3, 5, 7, 8, 9, 10, 11, 12])
     def test_one_r_family(self, r):
         theta_prime = generic_deformation(Stability((0, 0)), DimVector((1, r)))
         assert theta_prime == Stability((r, -1))
+
+    def test_one_vertex_has_no_separating_covector(self):
+        # only eta = 0 vanishes on d = (1); the bound there is |d| = 1
+        with pytest.raises(EtaSearchExhausted) as info:
+            generic_deformation(Stability((0,)), DimVector((1,)))
+        assert info.value.bound == 1
+        assert str(info.value) == "no nonzero separating covector with sup-norm at most 1 exists"
 
     def test_divisible_rejected(self):
         with pytest.raises(PreconditionError):
@@ -124,6 +132,34 @@ class TestGenericDeformation:
             assert is_generic_deformation(theta, theta_prime, d).passed
             assert is_coprime(theta_prime, d)
             checked += 1
+
+
+def _separating_covector(d):
+    """|d| w - w(d) 1 with w_i = (|d|^2 + 2)^i, and the bound N = |d| (|d|^2 + 2)^(n-1)."""
+    size, base = sum(d.coords), sum(d.coords) ** 2 + 2
+    w = [base**i for i in range(len(d))]
+    wd = sum(wi * di for wi, di in zip(w, d.coords))
+    return Stability(tuple(size * wi - wd for wi in w)), size * base ** (len(d) - 1)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(st.lists(st.integers(0, 3), min_size=2, max_size=5).filter(lambda c: gcd(*c) == 1))
+def test_search_bound_admits_a_separating_covector(coords):
+    d = DimVector(tuple(coords))
+    covector, bound = _separating_covector(d)
+    assert covector(d) == 0
+    assert all(covector(e) != 0 for e in box_iter(d) if not e.is_zero and e != d)
+    assert 0 < max(map(abs, covector.weights)) <= bound
+
+
+# at theta = 0 every proper e is critical, and these d need sup-norm 7
+@pytest.mark.parametrize("coords", [(1, 3, 3, 3), (2, 2, 3, 3), (3, 3, 3, 1)])
+def test_search_goes_past_sup_norm_six(coords):
+    d = DimVector(coords)
+    critical = [e for e in box_iter(d) if not e.is_zero and e != d]
+    eta = generic_deformation(Stability((0,) * len(d)), d)
+    assert max(map(abs, eta.weights)) == 7
+    assert eta == search_eta_by_enumeration(d, critical, 7)
 
 
 def _eta_outcome(search, d, critical, max_norm):

@@ -1,6 +1,8 @@
 import pytest
+from count_oracle import count_semistable_thin
 from hn_oracle import hn_problems, p_by_decompositions
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from quivermoduli import (
     DimVector,
@@ -12,9 +14,11 @@ from quivermoduli import (
     betti_coprime,
     box_iter,
     dt_invariants,
+    generic_deformation,
     ic_poincare_dt,
     ic_poincare_resolution,
     moduli_dim,
+    normalize_stability,
     p_poly,
 )
 from quivermoduli.halfq import _mul
@@ -30,38 +34,22 @@ def eval_q(poly, q0):
     return sum(c * q0 ** (p // 2) for p, c in poly.coeffs.items())
 
 
-def count_semistable_torus(l, q0):
-    """Point count of the deformed l x l torus-quotient moduli over a size-q0 field.
-
-    Representations are l x l matrices of scalars (entry (p, r) = the arrow
-    p -> r); with deformed stability (l - 1, -1, ..., -1) semistability
-    means every other vertex is reachable from the first along nonzero
-    entries. The free torus quotient divides the count by (q0 - 1)^(l - 1).
-    """
-    from itertools import product as iproduct
-
-    total = 0
-    for entries in iproduct(range(q0), repeat=l * l):
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            p = frontier.pop()
-            for r in range(l):
-                if entries[p * l + r] and r not in seen:
-                    seen.add(r)
-                    frontier.append(r)
-        if len(seen) == l:
-            total += 1
-    assert total % (q0 - 1) ** (l - 1) == 0
-    return total // (q0 - 1) ** (l - 1)
-
-
 def single_vertex(loops=0):
     return Quiver(("i",), ((loops,),))
 
 
 def complete_with_loops(l):
     return Quiver.from_matrix([[1] * l for _ in range(l)])
+
+
+def count_semistable_torus(l, q0):
+    """Point count of the deformed l x l torus-quotient moduli over a size-q0 field.
+
+    With deformed stability (l - 1, -1, ..., -1), semistability means that
+    every other vertex is reachable from the first along nonzero arrows.
+    """
+    theta_prime = Stability((l - 1,) + (-1,) * (l - 1))
+    return count_semistable_thin(complete_with_loops(l), theta_prime, q0)
 
 
 def q_poly(coeffs):
@@ -129,6 +117,38 @@ class TestBettiCoprime:
             kronecker(2, 2), DimVector((1, 1)), Stability((0, 0))
         )
         assert not value.is_laurent
+
+
+CYCLE3 = Quiver.from_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+
+
+@st.composite
+def thin_problems(draw):
+    """A quiver on 2-4 vertices with n to 8 arrows, loops included, the
+    all-ones d, and a random stability normalized on d. At least n arrows
+    and weights in [-2, 2] leave about a quarter of the moduli nonempty."""
+    n = draw(st.integers(2, 4))
+    matrix = [[0] * n for _ in range(n)]
+    vertex = st.integers(0, n - 1)
+    for p, r in draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=8)):
+        matrix[p][r] += 1
+    d = DimVector((1,) * n)
+    theta = Stability(tuple(draw(st.integers(-2, 2)) for _ in range(n)))
+    return Quiver.from_matrix(matrix), d, normalize_stability(theta, d)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(thin_problems())
+# two nonempty moduli: two arrows each way between two vertices, and a 3-cycle
+@example((kronecker(2, 2), DimVector((1, 1)), Stability((0, 0))))
+@example((CYCLE3, DimVector((1, 1, 1)), Stability((0, 0, 0))))
+def test_betti_counts_the_points_of_thin_moduli(problem):
+    # every thin d is indivisible, so a generic deformation makes it coprime
+    quiver, d, theta = problem
+    theta_prime = generic_deformation(theta, d)
+    value = betti_coprime(quiver, d, theta_prime)
+    for q0 in (2, 3):
+        assert eval_q(value, q0) == count_semistable_thin(quiver, theta_prime, q0)
 
 
 class TestDtInvariants:
