@@ -173,13 +173,17 @@ def ratfunc_json(r: RatFunc) -> dict:
     }
 
 
-def _record_json(rec) -> dict:
-    """One strata or smallness row: a StratumRecord's ten fields."""
+def _record_json(rec, brief: bool = False) -> dict:
+    """One strata or smallness row: a StratumRecord's ten fields.
+
+    brief words the negative-dimension reason as strata does, without
+    smallness's " (-k)" suffix.
+    """
     return {
         "type": [[part.coords, mult] for part, mult in rec.luna_type.parts],
         "trivial": rec.luna_type.is_trivial,
         "filtered": rec.filtered,
-        "reason": rec.reason,
+        "reason": rec.reason and rec.reason.partition(" (-")[0] if brief else rec.reason,
         "local_arrows": None if rec.local_quiver is None else rec.local_quiver.arrows,
         "local_dim": None if rec.local_dim is None else rec.local_dim.coords,
         "local_stability": None if rec.local_stability is None else rec.local_stability.weights,
@@ -189,20 +193,76 @@ def _record_json(rec) -> dict:
     }
 
 
+class _Rows:
+    """StratumRecords as the rows of a payload, each read as _record_json(rec, brief)."""
+
+    __slots__ = ("records", "brief")
+
+    def __init__(self, records, brief: bool):
+        self.records, self.brief = records, brief
+
+
+def _row_texts(rows: _Rows, pad: str) -> list[str]:
+    """The text of the list of rows _json_text writes at pad, one string per row.
+
+    A piece that repeats between rows (a part entry, a local arrow matrix or
+    vector, a bound, a reason) is rendered once by _json_text and reused.
+    """
+    # the pads of a row, of its fields and of the items of a field
+    row_pad, f, e = pad + "  ", pad + "    ", pad + "      "
+    memo: dict = {}
+
+    def piece(value, at: str = f) -> str:
+        text = memo.get((value, at))
+        if text is None:
+            text = memo[value, at] = "".join(_json_text(value, at))
+        return text
+
+    fields = (
+        "codim_bound", "fiber_bound", "filtered", "local_arrows", "local_dim",
+        "local_stability", "margin", "reason", "trivial", "type",
+    )
+    row = row_pad + "{" + ",".join(f'{f}"{name}": %s' for name in fields) + row_pad + "},"
+    out = []
+    for rec in rows.records:
+        lq, ld, ls = rec.local_quiver, rec.local_dim, rec.local_stability
+        fiber, margin = rec.fiber_bound, rec.margin
+        reason = rec.reason and rec.reason.partition(" (-")[0] if rows.brief else rec.reason
+        out.append(row % (
+            rec.codim_bound,
+            piece(None if fiber is None else str(fiber)),
+            _CONSTANTS[rec.filtered],
+            piece(None if lq is None else lq.arrows),
+            piece(None if ld is None else ld.coords),
+            piece(None if ls is None else ls.weights),
+            piece(None if margin is None else str(margin)),
+            piece(reason),
+            _CONSTANTS[rec.luna_type.is_trivial],
+            f'[{e}{("," + e).join([piece((p.coords, m), e) for p, m in rec.luna_type.parts])}{f}]',
+        ))
+    if not out:
+        return ["[]"]
+    out[0] = "[" + out[0]
+    out[-1] = out[-1][:-1] + pad + "]"
+    return out
+
+
 _encode_str = json.encoder.encode_basestring_ascii
 _CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
-def _json_text(value) -> str:
-    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte.
+def _json_text(value, pad: str = "\n") -> list[str]:
+    """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte, in chunks.
 
-    Takes dicts with str keys, lists, tuples, str, int, bool and None; any
-    other value raises TypeError. A list of plain ints is one join.
+    pad is a newline plus the indentation of the line value starts on.
+
+    Takes dicts with str keys, lists, tuples, str, int, bool and None, and
+    _Rows, written as the list of their _record_json rows; any other value
+    raises TypeError. A list of plain ints is one join, a row one chunk.
     """
     chunks: list[str] = []
     put = chunks.append
 
-    # pad is a newline plus the indentation of the line value starts on
     def write(value, pad: str) -> None:
         inner = pad + "  "
         if isinstance(value, str):
@@ -211,6 +271,8 @@ def _json_text(value) -> str:
             put(_CONSTANTS[value])
         elif isinstance(value, int):
             put(int.__repr__(value))
+        elif isinstance(value, _Rows):
+            chunks.extend(_row_texts(value, pad))
         elif isinstance(value, (list, tuple)) and {*map(type, value)} == {int}:
             put(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
         elif isinstance(value, (list, tuple)):
@@ -233,8 +295,8 @@ def _json_text(value) -> str:
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
-    write(value, "\n")
-    return "".join(chunks)
+    write(value, pad)
+    return chunks
 
 
 # ---------------------------------------------------------------------------
@@ -331,13 +393,11 @@ def cmd_strata(problem: ProblemSpec, max_box: int) -> dict:
     q, d = problem.quiver, problem.dim_vector
     theta_prime, derived = _ensure_deformed(problem, max_box)
     records = stratum_records(q, d, problem.stability, theta_prime, max_box)
-    # strata words the negative-dimension reason without smallness's " (-k)" suffix
-    rows = [dict(_record_json(r), reason=r.reason and r.reason.partition(" (-")[0]) for r in records]
     return {
         "command": "strata",
         "deformed_stability": list(theta_prime.weights),
         "derived_deformation": derived,
-        "types": rows,
+        "types": _Rows(records, brief=True),
     }
 
 
@@ -351,7 +411,7 @@ def cmd_smallness(problem: ProblemSpec, max_box: int) -> dict:
         "command": "smallness",
         "verdict": report.verdict,
         "reasons": list(report.reasons),
-        "records": [_record_json(rec) for rec in report.records],
+        "records": _Rows(report.records, brief=False),
         "assume_stable_nonempty": report.assume_stable_nonempty,
         "kernel_symmetric": report.kernel_symmetric,
         "deformation_ok": report.deformation_ok,
@@ -401,6 +461,8 @@ def _print_pretty(payload: dict, out) -> None:
 
 
 def _pretty_value(value) -> str:
+    if isinstance(value, _Rows):
+        value = [_record_json(rec, value.brief) for rec in value.records]
     if isinstance(value, dict):
         if "pretty" in value:
             return value["pretty"]
@@ -628,7 +690,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: input: {exc}\n")
         return 1
     if args.json:
-        sys.stdout.write(_json_text(payload) + "\n")
+        # chunk by chunk: the rows of a large strata table are never joined
+        sys.stdout.writelines(_json_text(payload))
+        sys.stdout.write("\n")
     else:
         _print_pretty(payload, sys.stdout)
     return 0

@@ -219,9 +219,6 @@ class Quiver(_Record):
     def unit(self, i: int) -> DimVector:
         return DimVector(tuple(1 if k == i else 0 for k in range(self.n)))
 
-    def zero_vector(self) -> DimVector:
-        return DimVector((0,) * self.n)
-
     def _check(self, d) -> None:
         if len(d) != self.n:
             raise ValueError("vector length does not match the quiver")

@@ -12,10 +12,12 @@ so the verdict is decided by the hypotheses; the per-type bounds are
 still computed and checked.
 
 Every bound is a function of the Gram matrix of the form on the parts of
-a type. One walk over the types reads it from a single table keyed by the
-parts' coordinate tuples; the public per-type bounds compute it for their
-one type and run the same helpers. The bounds are computed doubled, in
-integers, and the half-integer ones are returned as Fractions.
+a type and of their multiplicities. One walk over the types reads the form
+from a shift covector per part and computes the local data once per
+distinct (Gram matrix, multiplicities) pair; the public per-type bounds
+compute it for their one type and run the same helpers. The bounds are
+computed doubled, in integers, and the half-integer ones are returned as
+Fractions.
 """
 
 from __future__ import annotations
@@ -68,6 +70,13 @@ class LunaType(_Record):
             raise ValueError("decomposition type needs at least one part")
         object.__setattr__(self, "parts", ordered)
 
+    @classmethod
+    def _canonical(cls, parts: tuple[tuple[DimVector, int], ...]) -> "LunaType":
+        """The type of parts already in canonical form, taken without a check."""
+        xi = object.__new__(cls)
+        object.__setattr__(xi, "parts", parts)
+        return xi
+
     @property
     def is_trivial(self) -> bool:
         return len(self.parts) == 1 and self.parts[0][1] == 1
@@ -93,6 +102,41 @@ class LunaType(_Record):
 #: with 1,023 candidates, has Bell(10) = 115,975 types.
 MAX_LUNA_CANDIDATES = 1000
 
+#: Most decomposition types luna_types lists; more raise PreconditionError.
+#: levi_adjoint(9) has 21,147 types; two vertices at theta = 0 with
+#: d = (10, 11) have 94,664.
+MAX_LUNA_TYPES = 25000
+
+
+def _type_count(d: tuple[int, ...], parts: list[tuple[int, ...]], limit: int) -> int:
+    """The number of types: the coefficient of t^d in prod_e 1 / (1 - t^e).
+
+    One DP over the box [0, d] with cells as mixed-radix integers, ordered
+    lexicographically; part e adds count[c - e] to count[c] for every cell
+    c >= e, in ascending order, so e may repeat. The work is the sum of
+    |box(d - e)| over the parts. The count at d only grows, so the DP stops
+    with a count above limit as soon as it passes it; small parts raise it
+    fastest, so luna_types passes the parts in ascending order.
+    """
+    strides, size = [], 1
+    for c in reversed(d):
+        strides.append(size)
+        size *= c + 1
+    strides.reverse()
+    count = [1] + [0] * (size - 1)
+    for e in parts:
+        # the cells of box(d - e), as offsets in ascending order
+        offsets = [0]
+        for c, ce, stride in zip(d, e, strides):
+            if c > ce:
+                offsets = [o + k for o in offsets for k in range(0, (c - ce) * stride + 1, stride)]
+        base = sum(map(operator.mul, e, strides))
+        for o in offsets:
+            count[base + o] += count[o]
+        if count[-1] > limit:
+            break
+    return count[-1]
+
 
 def luna_types(
     q: Quiver, d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
@@ -109,8 +153,9 @@ def luna_types(
     sequences. A frame loops only over the candidates that can cover the
     remainder's first nonzero coordinate and recurses only on a chosen
     part, so the depth is at most the number of parts. More than
-    MAX_LUNA_CANDIDATES candidates raise PreconditionError first. The
-    oracle is the DimVector walk in tests/strata_oracle.py.
+    MAX_LUNA_CANDIDATES candidates, and then more than MAX_LUNA_TYPES
+    types (counted before the walk), raise PreconditionError. The oracle
+    is the DimVector walk in tests/strata_oracle.py.
     """
     q._check(d)
     if d.is_zero:
@@ -125,6 +170,11 @@ def luna_types(
         )
     candidates.sort(key=lambda e: e.coords, reverse=True)
     coords = [e.coords for e in candidates]
+    count = _type_count(d.coords, coords[::-1], MAX_LUNA_TYPES)
+    if count > MAX_LUNA_TYPES:
+        raise PreconditionError(
+            f"at least {count} decomposition types, more than the {MAX_LUNA_TYPES} allowed"
+        )
     # the parts whose first nonzero coordinate is i form the block begin[i]:stop[i]
     leads = [next(i for i, c in enumerate(p) if c) for p in coords]
     begin = [bisect_left(leads, i) for i in range(len(d))]
@@ -144,7 +194,8 @@ def luna_types(
                     if any(rest):
                         extend(idx + 1, rest, parts)
                     else:
-                        out.append(LunaType(parts))
+                        # distinct candidates in descending order: canonical already
+                        out.append(LunaType._canonical(parts))
 
     extend(0, d.coords, ())
     return out
@@ -156,7 +207,11 @@ def _gram(q: Quiver, xi: LunaType) -> list[list[int]]:
     return [[q.euler_form(p, r) for r in parts] for p in parts]
 
 
-def _local_quiver(gram: list[list[int]], xi: LunaType) -> tuple[Quiver, DimVector]:
+def _mults(xi: LunaType) -> tuple[int, ...]:
+    return tuple(m for _, m in xi.parts)
+
+
+def _local_quiver(gram, mults: tuple[int, ...]) -> tuple[Quiver, DimVector]:
     matrix = []
     for k, row in enumerate(gram):
         counts = tuple((k == l) - chi for l, chi in enumerate(row))
@@ -165,11 +220,7 @@ def _local_quiver(gram: list[list[int]], xi: LunaType) -> tuple[Quiver, DimVecto
             raise NegativeArrowCountError(k, l, counts[l])
         matrix.append(counts)
     vertices = tuple(f"u{k + 1}" for k in range(len(matrix)))
-    return Quiver(vertices, tuple(matrix)), DimVector(tuple(m for _, m in xi.parts))
-
-
-def _local_stability(xi: LunaType, theta_prime: Stability) -> Stability:
-    return Stability(tuple(theta_prime(p) for p, _ in xi.parts))
+    return Quiver(vertices, tuple(matrix)), DimVector(mults)
 
 
 def local_quiver(
@@ -183,8 +234,8 @@ def local_quiver(
     raises NegativeArrowCountError: no tuple of pairwise non-isomorphic
     same-slope stables can realize such a type.
     """
-    lq, ld = _local_quiver(_gram(q, xi), xi)
-    return lq, ld, _local_stability(xi, theta_prime)
+    lq, ld = _local_quiver(_gram(q, xi), _mults(xi))
+    return lq, ld, Stability(tuple(theta_prime(p) for p, _ in xi.parts))
 
 
 def _nullcone_twice(q: Quiver, d: DimVector) -> int:
@@ -261,7 +312,7 @@ def smallness_margin(q: Quiver, d: DimVector, xi: LunaType) -> Fraction:
 def _bounds(q: Quiver, d: DimVector, xi: LunaType) -> tuple[Fraction, Fraction]:
     dd, gram = q.euler_form(d, d), _gram(q, xi)
     codim = _codim_bound(dd, gram)
-    fiber, margin = _fiber_and_margin(dd, gram, codim, *_local_quiver(gram, xi))
+    fiber, margin = _fiber_and_margin(dd, gram, codim, *_local_quiver(gram, _mults(xi)))
     return Fraction(fiber, 2), Fraction(margin, 2)
 
 
@@ -283,29 +334,19 @@ class StratumRecord(_Record):
     margin: Fraction | None
 
 
-def _stratum_record(
-    dd: int, gram: list[list[int]], xi: LunaType, theta_prime: Stability
-) -> StratumRecord:
+def _local_data(dd: int, gram, mults: tuple[int, ...]) -> tuple:
+    """(codim, first part of negative expected dimension, reason, local quiver,
+    local dimension vector, fibre bound, margin): what the types of one key share."""
     codim = _codim_bound(dd, gram)
-    bad = [k for k, row in enumerate(gram) if row[k] > 1]
-    if bad:
-        reason = (
-            f"part {xi.parts[bad[0]][0]} has negative expected stable moduli dimension "
-            f"({1 - gram[bad[0]][bad[0]]})"
-        )
-        return StratumRecord(xi, True, reason, None, None, None, None, codim, None)
-    try:
-        lq, ld = _local_quiver(gram, xi)
-    except NegativeArrowCountError as exc:
-        return StratumRecord(xi, True, str(exc), None, None, None, None, codim, None)
-    ls = _local_stability(xi, theta_prime)
-    try:
-        fiber, margin = _fiber_and_margin(dd, gram, codim, lq, ld)
-    except PreconditionError as exc:
-        return StratumRecord(xi, True, str(exc), lq, ld, ls, None, codim, None)
-    return StratumRecord(
-        xi, False, None, lq, ld, ls, Fraction(fiber, 2), codim, Fraction(margin, 2)
-    )
+    bad = next((k for k, row in enumerate(gram) if row[k] > 1), None)
+    lq = ld = fiber = margin = reason = None
+    if bad is None:
+        try:  # a negative arrow count or a non-symmetric local quiver
+            lq, ld = _local_quiver(gram, mults)
+            fiber, margin = (Fraction(x, 2) for x in _fiber_and_margin(dd, gram, codim, lq, ld))
+        except PreconditionError as exc:
+            reason = str(exc)
+    return codim, bad, reason, lq, ld, fiber, margin
 
 
 def stratum_records(
@@ -324,19 +365,38 @@ def stratum_records(
     Every other type gets its local quiver, fibre bound and margin. No
     hypothesis of certify_smallness is checked here.
 
-    The form is read from one table keyed by pairs of coordinate tuples
-    and filled on demand, so each pair of parts costs one euler_form call.
-    Every record cross-checks its fibre bound against the nullcone bound
-    of its local quiver, and its margin against fibre - codim / 2.
+    Each part r gets one shift covector s(r)_i = r_i - arrows[i] . r, so
+    the form is the dot product chi(p, r) = p . s(r). The local data
+    depends only on the Gram matrix of the parts and their multiplicities,
+    so it is computed once per distinct pair and shared by every record
+    with that pair: each distinct local quiver is built, tested for
+    symmetry, and cross-checked once, its fibre bound against the nullcone
+    bound of the local quiver and its margin against fibre - codim / 2.
     """
     types = luna_types(q, d, theta, max_box)
-    chi = cache(lambda p, r: q.euler_form(DimVector(p), DimVector(r)))
     dd = q.euler_form(d, d)
+    shift = cache(lambda r: tuple(c - sum(map(operator.mul, row, r)) for c, row in zip(r, q.arrows)))
+    chi = cache(lambda p, r: sum(map(operator.mul, p, shift(r))))
+    weight = cache(lambda r: theta_prime(DimVector(r)))
+    shared: dict[tuple, tuple] = {}
     records = []
     for xi in types:
-        coords = [p.coords for p, _ in xi.parts]
-        gram = [[chi(p, r) for r in coords] for p in coords]
-        records.append(_stratum_record(dd, gram, xi, theta_prime))
+        coords = tuple(p.coords for p, _ in xi.parts)
+        gram = tuple(tuple(map(chi, (p,) * len(coords), coords)) for p in coords)
+        key = gram, _mults(xi)
+        data = shared.get(key)
+        if data is None:
+            data = shared[key] = _local_data(dd, *key)
+        codim, bad, reason, lq, ld, fiber, margin = data
+        if bad is not None:
+            reason = (
+                f"part {xi.parts[bad][0]} has negative expected stable moduli dimension "
+                f"({1 - gram[bad][bad]})"
+            )
+        ls = None if lq is None else Stability(tuple(map(weight, coords)))
+        records.append(
+            StratumRecord(xi, reason is not None, reason, lq, ld, ls, fiber, codim, margin)
+        )
     return tuple(records)
 
 

@@ -5,11 +5,29 @@ import time
 
 import pytest
 from cli_oracle import _build_parser, oracle_parse
+from hn_oracle import hn_problems
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quivermoduli.catalog import FAMILIES
-from quivermoduli.cli import COMMAND_TABLE, _help_text, _json_text, _parse_argv, main
+import quivermoduli.strata as strata_module
+from quivermoduli import (
+    DimVector,
+    InternalCheckError,
+    Stability,
+    generic_deformation,
+    normalize_stability,
+    stratum_records,
+)
+from quivermoduli.catalog import FAMILIES, example_from_spec
+from quivermoduli.cli import (
+    COMMAND_TABLE,
+    _help_text,
+    _json_text,
+    _parse_argv,
+    _record_json,
+    _Rows,
+    main,
+)
 from quivermoduli.core import Quiver
 
 KRONECKER2_PROBLEM = {
@@ -458,6 +476,94 @@ class TestTooManyCandidateParts:
         assert err.startswith("error: precondition: ") and "candidate parts" in err
 
 
+class TestTooManyTypes:
+    # two vertices at theta = 0: every nonzero e <= d is a candidate part; smallness
+    # reaches the walk only when the form is symmetric, so it gets arrows both ways
+    @pytest.mark.parametrize(
+        "command, arrows", [("strata", [[0, 3], [0, 0]]), ("smallness", [[0, 3], [3, 0]])]
+    )
+    @pytest.mark.parametrize("dimension", [[10, 11], [20, 21]])
+    def test_refused_before_the_walk(self, capsys, monkeypatch, command, arrows, dimension):
+        # 94,664 and about 4.4 * 10^8 types, under the 1,000-candidate guard
+        problem = {"arrows": arrows, "dimension": dimension, "stability": [0, 0]}
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [command, "-", "--json"])
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith("error: precondition: at least ") and "decomposition types" in err
+
+
+def _rows_match_record_json(records):
+    # the rows at three depths, in the strata and in the smallness wording
+    for brief in (False, True):
+        rows = [_record_json(rec, brief) for rec in records]
+        for wrap in (lambda v: v, lambda v: {"types": v}, lambda v: [{"a": [v], "b": 0}]):
+            expected = json.dumps(wrap(rows), sort_keys=True, indent=2)
+            assert "".join(_json_text(wrap(_Rows(records, brief)))) == expected
+
+
+class TestRowWriter:
+    """The rows of strata and smallness are written as text; _record_json is the judge."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "levi_adjoint:2",
+            "levi_adjoint:3",
+            "levi_adjoint:4",
+            "levi_adjoint:5",
+            "determinantal:3,2",
+            "points:4,2",
+        ],
+    )
+    def test_catalog_rows(self, spec):
+        q, d, theta, deformed = example_from_spec(spec)[2]
+        tnorm = normalize_stability(theta, d)
+        theta_prime = deformed if deformed is not None else generic_deformation(tnorm, d)
+        _rows_match_record_json(stratum_records(q, d, theta, theta_prime))
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(hn_problems(), st.data())
+    def test_random_rows(self, problem, data):
+        q, d, theta = problem
+        theta_prime = Stability(data.draw(st.tuples(*[st.integers(-3, 3)] * len(d))))
+        _rows_match_record_json(stratum_records(q, d, theta, theta_prime))
+
+    def test_three_filters_in_both_wordings(self):
+        q = Quiver.from_matrix([[3, 2, 1, 2], [1, 0, 1, 0], [3, 2, 3, 3], [2, 2, 3, 2]])
+        d, theta = DimVector((0, 2, 0, 1)), Stability((0, 3, -2, 3))
+        records = stratum_records(q, d, theta, Stability((-9, 1, -15, -2)))
+        _rows_match_record_json(records)
+        negative = "part (0, 2, 0, 0) has negative expected stable moduli dimension"
+        smallness = "".join(_json_text(_Rows(records, brief=False)))
+        strata = "".join(_json_text(_Rows(records, brief=True)))
+        for text in (smallness, strata):
+            assert '"local quiver would need -1 arrows from summand 2 to summand 1"' in text
+            assert '"local quiver is not symmetric"' in text
+        assert f'"{negative} (-3)"' in smallness and f'"{negative}"' in strata
+
+    def test_no_rows(self):
+        _rows_match_record_json(())
+
+
+class TestInternalCheckMidWalk:
+    @pytest.mark.parametrize("command", ["strata", "smallness"])
+    def test_exit_3_leaves_stdout_empty(self, capsys, monkeypatch, command):
+        check, calls = strata_module._fiber_and_margin, []
+
+        def fail_on_the_fifth_key(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise InternalCheckError("margin identity failed")
+            return check(*args)
+
+        monkeypatch.setattr(strata_module, "_fiber_and_margin", fail_on_the_fifth_key)
+        code, out, err = run(capsys, [command, "--example", "levi_adjoint:6", "--json"])
+        assert code == 3 and out == ""
+        assert err == "error: internal-consistency: margin identity failed\n"
+
+
 class TestSmallness:
     def test_kronecker31_not_applicable_with_closed_form(self, capsys):
         code, payload, _ = run_json(
@@ -688,7 +794,7 @@ class TestJsonWriter:
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(JSON_VALUES)
     def test_matches_json_dumps(self, value):
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert "".join(_json_text(value)) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize(
         "value",
@@ -700,7 +806,7 @@ class TestJsonWriter:
         ],
     )
     def test_edge_values(self, value):
-        assert _json_text(value) == json.dumps(value, sort_keys=True, indent=2)
+        assert "".join(_json_text(value)) == json.dumps(value, sort_keys=True, indent=2)
 
     @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: 0}, [0, {"a": 0.0}], {"a": {None: 1}}])
     def test_other_types_raise(self, value):

@@ -17,6 +17,7 @@ from quivermoduli import (
     PreconditionError,
     Quiver,
     Stability,
+    box_iter,
     certify_smallness,
     codim_lower_bound,
     fiber_dim_bound,
@@ -420,3 +421,84 @@ class TestEulerTable:
         theta_prime = Stability(data.draw(st.tuples(*[st.integers(-3, 3)] * len(d))))
         records = stratum_records(q, d, theta, theta_prime)
         assert records == stratum_records_per_call(q, d, theta, theta_prime)
+
+
+class TestLocalDataOncePerKey:
+    """The local data is computed once per distinct (Gram matrix, multiplicities) pair."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = []
+        check = strata_module._fiber_and_margin
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(strata_module, "_fiber_and_margin", counted)
+        return calls
+
+    def test_levi_adjoint_7(self, monkeypatch):
+        # 877 types, whose Gram matrices follow the 64 compositions of 7
+        q, d, theta, deformed = example_from_spec("levi_adjoint:7")[2]
+        calls = self.count_calls(monkeypatch)
+        records = stratum_records(q, d, theta, deformed)
+        assert len(records) == 877 and len(calls) == 64
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(hn_problems(), st.data())
+    def test_random_problems(self, problem, data):
+        # a local quiver and its dimension vector determine the key; every key
+        # with a local quiver reaches the cross-checks, once
+        q, d, theta = problem
+        theta_prime = Stability(data.draw(st.tuples(*[st.integers(-3, 3)] * len(d))))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            calls = self.count_calls(monkeypatch)
+            records = stratum_records(q, d, theta, theta_prime)
+        keys = {
+            (rec.local_quiver.arrows, rec.local_dim)
+            for rec in records
+            if rec.local_quiver is not None
+        }
+        assert len(calls) == len(keys)
+
+
+def _candidates(d, theta):
+    tnorm = normalize_stability(theta, d)
+    return [e.coords for e in box_iter(d) if not e.is_zero and tnorm(e) == 0]
+
+
+class TestTypeCount:
+    """The coefficient of t^d in prod_e 1 / (1 - t^e) counts the decomposition types."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hn_problems(max_cells=60), st.data())
+    def test_counts_luna_types(self, problem, data):
+        q, d, theta = problem
+        count = len(luna_types(q, d, theta))
+        parts = data.draw(st.permutations(_candidates(d, theta)))
+        assert strata_module._type_count(d.coords, parts, count) == count
+        # past the limit the DP may stop early, with a count above the limit
+        limit = data.draw(st.integers(0, count + 1))
+        assert (strata_module._type_count(d.coords, parts, limit) > limit) == (count > limit)
+
+    @pytest.mark.parametrize(
+        "q, d, theta, count",
+        [
+            (*example_from_spec("levi_adjoint:7")[2][:3], 877),
+            (*example_from_spec("levi_adjoint:8")[2][:3], 4140),
+            (*example_from_spec("levi_adjoint:9")[2][:3], 21147),
+            (kronecker(3), DimVector((8, 9)), Stability((0, 0)), 13715),
+        ],
+    )
+    def test_fixed_counts(self, q, d, theta, count):
+        assert strata_module._type_count(d.coords, _candidates(d, theta), count) == count
+        assert len(luna_types(q, d, theta)) == count
+
+    def test_budget(self):
+        # levi_adjoint(9) is listed, two vertices at theta = 0 with d = (10, 11) are not
+        assert 21147 <= strata_module.MAX_LUNA_TYPES < 94664
+        d, theta = DimVector((10, 11)), Stability((0, 0))
+        assert strata_module._type_count(d.coords, _candidates(d, theta), 10**6) == 94664
+        with pytest.raises(PreconditionError, match="decomposition types"):
+            luna_types(kronecker(3), d, theta)
