@@ -52,16 +52,7 @@ from .errors import (
     PreconditionError,
     QuiverModuliError,
 )
-from .halfq import (
-    HalfLaurent,
-    RatFunc,
-    SlopeSeries,
-    adams,
-    pleth_exp,
-    pleth_log,
-    series_exp,
-    series_log,
-)
+from .halfq import HalfLaurent, RatFunc
 from .invariants import (
     betti_coprime,
     dt_invariants,
@@ -148,3 +139,18 @@ __all__ = [
     "stratum_records",
     "symmetric_on_kernel",
 ]
+
+
+def __getattr__(name: str):
+    # the names of __all__ not bound above are those of the series layer
+    # (SlopeSeries, series_exp, series_log, adams, pleth_exp, pleth_log), which
+    # the engine does not run: it is imported on first access, not with the package
+    if name in __all__:
+        from . import series
+
+        return getattr(series, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

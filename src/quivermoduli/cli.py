@@ -9,14 +9,16 @@ family, dispatches one computation (COMMAND_TABLE) and prints the result,
 human-readable by default or as canonical JSON with --json. Options may
 come in any order, before or after COMMAND; `examples` takes no problem.
 
-Exit codes: 0 success, 1 input or parse error (usage errors included),
-2 precondition violation (including the box-enumeration guard), 3 internal
-consistency failure. Every error prints one line on stderr.
+Exit codes: 0 success, 1 input or parse error (usage errors included) or
+output that cannot be written (a closed pipe, a full device), 2 precondition
+violation (including the box-enumeration guard), 3 internal consistency
+failure. Every error prints one line on stderr.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -444,12 +446,13 @@ def cmd_examples() -> dict:
 # pretty printing
 
 
-def _print_pretty(payload: dict, out) -> None:
+def _pretty_lines(payload: dict):
+    """The human-readable view, one line at a time."""
     command = payload.get("command")
     if command == "examples":
-        out.write("available example families:\n")
+        yield "available example families:\n"
         for fam in payload["families"]:
-            out.write(f"  {fam['name']}: {fam['params']}\n")
+            yield f"  {fam['name']}: {fam['params']}\n"
         return
     skip = {"command"}
     if command == "ic" and payload.get("route_resolution") is None:
@@ -457,7 +460,7 @@ def _print_pretty(payload: dict, out) -> None:
     for key, value in payload.items():
         if key in skip:
             continue
-        out.write(f"{key}: {_pretty_value(value)}\n")
+        yield f"{key}: {_pretty_value(value)}\n"
 
 
 def _pretty_value(value) -> str:
@@ -671,8 +674,7 @@ def main(argv=None) -> int:
     try:
         args = _parse_argv(sys.argv[1:] if argv is None else argv)
         if args is None:
-            sys.stdout.write(_help_text())
-            sys.exit(0)
+            sys.exit(_write_out([_help_text()]))
         handler, _ = COMMAND_TABLE[args.command]
         if args.command != "examples":
             payload = handler(load_problem(args), args.max_box)
@@ -691,10 +693,23 @@ def main(argv=None) -> int:
         return 1
     if args.json:
         # chunk by chunk: the rows of a large strata table are never joined
-        sys.stdout.writelines(_json_text(payload))
-        sys.stdout.write("\n")
-    else:
-        _print_pretty(payload, sys.stdout)
+        return _write_out([*_json_text(payload), "\n"])
+    return _write_out(_pretty_lines(payload))
+
+
+def _write_out(chunks) -> int:
+    """Write chunks to stdout: 0, or 1 with one line on stderr if stdout refuses them."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # a write error surfaces here, not at the exit flush
+    except OSError as exc:
+        # a closed pipe or a full device: what is still buffered goes to the
+        # null device, so the interpreter's flush at exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write(f"error: output: {exc}\n")
+        return 1
     return 0
 
 

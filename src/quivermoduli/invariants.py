@@ -6,8 +6,10 @@ case, q-Donaldson-Thomas invariants extracted with the plethystic
 logarithm, and the two independent routes to the intersection-cohomology
 Poincare polynomial. Both p and the DT invariants run in integer Laurent
 polynomials in v, Gaussian-normalized: the coefficient at e is kept
-multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)), so no gcd is
-taken until each result is canonicalized once per exponent. The routes are
+multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). No gcd is
+taken on the way, and every result (p, the Betti polynomial, each DT
+invariant) is canonicalized exactly once, by one RatFunc.from_ratio; the
+sign twist of the DT route keeps the canonical form. The routes are
 
 * the DT route, a sign-twisted DT invariant, valid when the form is
   symmetric on the kernel of the stability;
@@ -187,7 +189,9 @@ def betti_coprime(
     tnorm = normalize_stability(theta, d)
     if not is_coprime(tnorm, d, max_box):
         raise PreconditionError("stability not coprime for d")
-    value = (RatFunc.q_power(1) - 1) * p_poly(q, d, theta, max_box)
+    # (q - 1) p = (v^2 - 1) (-G(d)) / [d]!, canonicalized once
+    g = _hn_numerators(q, d, theta, max_box)[0][d]
+    value = RatFunc.from_ratio(HalfLaurent(_mul({2: -1, 0: 1}, g)), HalfLaurent(_factorial(d)))
     return _require_q_polynomial(value, "(q - 1) * p")
 
 
@@ -271,8 +275,11 @@ def ic_poincare_dt(
         )
     dt_d = dt_invariants(q, theta, d, max_box)[d]
     k = 1 - q.euler_form(d, d)
-    value = RatFunc.v_power(k) * (1 if k % 2 == 0 else -1) * dt_d
-    return _require_q_polynomial(value, "sign-twisted DT invariant")
+    # (-v)^k times a canonical value: a sign on num and k added to the shift
+    # keep it canonical, so no second canonicalization is needed
+    if not dt_d.is_zero:
+        dt_d = RatFunc(-dt_d.num if k % 2 else dt_d.num, dt_d.den, dt_d.shift + k)
+    return _require_q_polynomial(dt_d, "sign-twisted DT invariant")
 
 
 def ic_poincare_resolution(

@@ -33,9 +33,9 @@ from .core import (
     Quiver,
     Stability,
     _Record,
-    box_iter,
     check_box,
     normalize_stability,
+    sub_box,
     symmetric_on_kernel,
 )
 from .deform import is_generic_deformation
@@ -162,19 +162,21 @@ def luna_types(
         raise ValueError("zero dimension vector")
     tnorm = normalize_stability(theta, d)
     check_box(d, max_box)
-    candidates = [e for e in box_iter(d) if not e.is_zero and tnorm(e) == 0]
-    if len(candidates) > MAX_LUNA_CANDIDATES:
+    # a DimVector is built only for a candidate, not for every cell of the box
+    weights = tnorm.weights
+    coords = [c for c in sub_box(d.coords) if any(c) and sum(map(operator.mul, weights, c)) == 0]
+    if len(coords) > MAX_LUNA_CANDIDATES:
         raise PreconditionError(
-            f"{len(candidates)} candidate parts for decomposition types, "
+            f"{len(coords)} candidate parts for decomposition types, "
             f"more than the {MAX_LUNA_CANDIDATES} allowed"
         )
-    candidates.sort(key=lambda e: e.coords, reverse=True)
-    coords = [e.coords for e in candidates]
-    count = _type_count(d.coords, coords[::-1], MAX_LUNA_TYPES)
+    count = _type_count(d.coords, coords, MAX_LUNA_TYPES)
     if count > MAX_LUNA_TYPES:
         raise PreconditionError(
             f"at least {count} decomposition types, more than the {MAX_LUNA_TYPES} allowed"
         )
+    coords.reverse()
+    candidates = list(map(DimVector, coords))
     # the parts whose first nonzero coordinate is i form the block begin[i]:stop[i]
     leads = [next(i for i, c in enumerate(p) if c) for p in coords]
     begin = [bisect_left(leads, i) for i in range(len(d))]

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -29,6 +32,8 @@ from quivermoduli.cli import (
     main,
 )
 from quivermoduli.core import Quiver
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(strata_module.__file__)))
 
 KRONECKER2_PROBLEM = {
     "vertices": ["i", "j"],
@@ -493,6 +498,25 @@ class TestTooManyTypes:
         assert code == 2 and out == "" and err.count("\n") == 1
         assert err.startswith("error: precondition: at least ") and "decomposition types" in err
 
+    def test_million_cell_box_refused_in_time(self, capsys, monkeypatch):
+        # 999 candidates (k, k) among the 10^6 cells: the candidate scan reads
+        # every cell, so it must not build a DimVector per cell
+        problem = {
+            "arrows": [[0, 1], [0, 0]],
+            "dimension": [999, 999],
+            "stability": [1, -1],
+            "deformed_stability": [999, -998],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["strata", "-"])
+        assert time.perf_counter() - start < 2
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: precondition: at least 83667 decomposition types, "
+            f"more than the {strata_module.MAX_LUNA_TYPES} allowed\n"
+        )
+
 
 def _rows_match_record_json(records):
     # the rows at three depths, in the strata and in the smallness wording
@@ -812,3 +836,53 @@ class TestJsonWriter:
     def test_other_types_raise(self, value):
         with pytest.raises(TypeError):
             _json_text(value)
+
+
+def _cli_process(argv, stdout):
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen(
+        [sys.executable, "-m", "quivermoduli.cli", *argv],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        env=env,
+        text=True,
+    )
+
+
+class TestUnwritableOutput:
+    """Output that cannot be written exits 1 with one line, never a traceback."""
+
+    @staticmethod
+    def _check(process):
+        err = process.communicate(timeout=60)[1]
+        assert process.returncode == 1, err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert err.startswith("error: output: ")
+        return err
+
+    @pytest.mark.parametrize("view", [["--json"], []])
+    def test_reader_closes_after_a_few_bytes(self, view):
+        # 5.8 MB of rows, far more than a pipe holds, so the writer meets the closed pipe
+        process = _cli_process(["strata", "--example", "levi_adjoint:8", *view], subprocess.PIPE)
+        head = process.stdout.read(10)
+        process.stdout.close()
+        assert len(head) == 10
+        assert "Broken pipe" in self._check(process)
+
+    @pytest.mark.parametrize(
+        "argv", [["--help"], ["examples"], ["info", "--example", "levi_adjoint:3", "--json"]]
+    )
+    def test_reader_gone_before_the_first_write(self, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            process = _cli_process(argv, write_end)
+        finally:
+            os.close(write_end)
+        self._check(process)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+    def test_full_device(self):
+        with open("/dev/full", "w") as full:
+            process = _cli_process(["info", "--example", "levi_adjoint:3"], full)
+        self._check(process)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from quivermoduli import (
     DimVector,
     HalfLaurent,
+    InternalCheckError,
     PreconditionError,
     Quiver,
     RatFunc,
@@ -17,12 +18,14 @@ from quivermoduli import (
     generic_deformation,
     ic_poincare_dt,
     ic_poincare_resolution,
+    is_coprime,
     moduli_dim,
     normalize_stability,
     p_poly,
+    symmetric_on_kernel,
 )
 from quivermoduli.halfq import _mul
-from quivermoduli.invariants import _binomials, _factorial
+from quivermoduli.invariants import _binomials, _factorial, _require_q_polynomial
 
 
 def kronecker(m, n=0):
@@ -361,3 +364,87 @@ class TestVCoordinateIdentities:
                 assert _mul(_factorial(s, m), stretched) == _factorial(s), (s, m)
                 steps.add((s.coords, m))
         assert {((2, 2, 0), 2), ((3, 0, 0), 3), ((1, 2, 1), 1)} <= steps
+
+
+def _outcome(route, *args):
+    """A route's value, or the type and message of the error it raises."""
+    try:
+        return route(*args)
+    except (PreconditionError, InternalCheckError) as exc:
+        return type(exc), str(exc)
+
+
+def betti_by_field_arithmetic(q, d, theta):
+    # (q - 1) * p in RatFunc field arithmetic, a canonicalization per operation
+    if not is_coprime(normalize_stability(theta, d), d):
+        raise PreconditionError("stability not coprime for d")
+    value = (RatFunc.q_power(1) - 1) * p_poly(q, d, theta)
+    return _require_q_polynomial(value, "(q - 1) * p")
+
+
+def ic_dt_by_field_arithmetic(q, d, theta):
+    # (-v)^k * DT_d as a product of RatFuncs, k = 1 - form(d, d)
+    if not symmetric_on_kernel(q, normalize_stability(theta, d)):
+        raise PreconditionError("form is not symmetric on the kernel of the stability")
+    dt_d = dt_invariants(q, theta, d)[d]
+    k = 1 - q.euler_form(d, d)
+    value = RatFunc.v_power(k) * (1 if k % 2 == 0 else -1) * dt_d
+    return _require_q_polynomial(value, "sign-twisted DT invariant")
+
+
+class TestOneCanonicalization:
+    """betti_coprime and ic_poincare_dt canonicalize once; field arithmetic is the judge."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hn_problems(), st.booleans())
+    @example((kronecker(3), DimVector((1, 1)), Stability((1, -1))), False)
+    @example((kronecker(2, 2), DimVector((1, 1)), Stability((0, 0))), False)
+    def test_matches_field_arithmetic(self, problem, symmetrize):
+        q, d, theta = problem
+        if symmetrize:
+            # a symmetric form is symmetric on every kernel, so the DT route runs
+            a = q.arrows
+            q = Quiver.from_matrix([[a[i][j] + a[j][i] for j in range(q.n)] for i in range(q.n)])
+        assert _outcome(betti_coprime, q, d, theta) == _outcome(
+            betti_by_field_arithmetic, q, d, theta
+        )
+        assert _outcome(ic_poincare_dt, q, d, theta) == _outcome(
+            ic_dt_by_field_arithmetic, q, d, theta
+        )
+
+    @staticmethod
+    def _count_from_ratio(monkeypatch):
+        calls = []
+        original = RatFunc.from_ratio.__func__
+
+        def counted(cls, num, den):
+            calls.append(None)
+            return original(cls, num, den)
+
+        monkeypatch.setattr(RatFunc, "from_ratio", classmethod(counted))
+        return calls
+
+    @pytest.mark.parametrize(
+        "q, d, theta",
+        [
+            (kronecker(1), DimVector((1, 1)), Stability((1, -1))),
+            (kronecker(4), DimVector((1, 1)), Stability((1, -1))),
+            (kronecker(3), DimVector((2, 3)), Stability((1, -1))),
+            (CYCLE3, DimVector((1, 1, 1)), Stability((2, -1, -1))),
+            (complete_with_loops(3), DimVector((1, 1, 1)), Stability((2, -1, -1))),
+        ],
+    )
+    def test_one_from_ratio_per_betti_polynomial(self, monkeypatch, q, d, theta):
+        calls = self._count_from_ratio(monkeypatch)
+        betti_coprime(q, d, theta)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("l", [2, 3])
+    def test_one_from_ratio_per_dt_invariant(self, monkeypatch, l):
+        # the sign twist adds none to the one per exponent of dt_invariants
+        q, d, theta = complete_with_loops(l), DimVector((1,) * l), Stability((0,) * l)
+        calls = self._count_from_ratio(monkeypatch)
+        exponents = len(dt_invariants(q, theta, d))
+        del calls[:]
+        ic_poincare_dt(q, d, theta)
+        assert len(calls) == exponents == 2**l - 1
