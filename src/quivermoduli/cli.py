@@ -21,7 +21,6 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -155,13 +154,9 @@ def load_problem(args) -> ProblemSpec:
 # serialization
 
 
-def frac_str(x) -> str:
-    return str(Fraction(x))
-
-
 def poly_json(l: HalfLaurent) -> dict:
     return {
-        "v_powers": {str(p): frac_str(c) for p, c in sorted(l.coeffs.items())},
+        "v_powers": {str(p): str(c) for p, c in sorted(l.coeffs.items())},
         "pretty": l.pretty(),
     }
 
@@ -169,34 +164,18 @@ def poly_json(l: HalfLaurent) -> dict:
 def ratfunc_json(r: RatFunc) -> dict:
     num, den = r.num_den()
     return {
-        "num": {str(p): frac_str(c) for p, c in sorted(num.coeffs.items())},
-        "den": {str(p): frac_str(c) for p, c in sorted(den.coeffs.items())},
+        "num": {str(p): str(c) for p, c in sorted(num.coeffs.items())},
+        "den": {str(p): str(c) for p, c in sorted(den.coeffs.items())},
         "pretty": r.pretty(),
     }
 
 
-def _record_json(rec, brief: bool = False) -> dict:
-    """One strata or smallness row: a StratumRecord's ten fields.
+class _Rows:
+    """StratumRecords as the rows of a payload, written by _row_texts.
 
     brief words the negative-dimension reason as strata does, without
     smallness's " (-k)" suffix.
     """
-    return {
-        "type": [[part.coords, mult] for part, mult in rec.luna_type.parts],
-        "trivial": rec.luna_type.is_trivial,
-        "filtered": rec.filtered,
-        "reason": rec.reason and rec.reason.partition(" (-")[0] if brief else rec.reason,
-        "local_arrows": None if rec.local_quiver is None else rec.local_quiver.arrows,
-        "local_dim": None if rec.local_dim is None else rec.local_dim.coords,
-        "local_stability": None if rec.local_stability is None else rec.local_stability.weights,
-        "fiber_bound": None if rec.fiber_bound is None else frac_str(rec.fiber_bound),
-        "codim_bound": rec.codim_bound,
-        "margin": None if rec.margin is None else frac_str(rec.margin),
-    }
-
-
-class _Rows:
-    """StratumRecords as the rows of a payload, each read as _record_json(rec, brief)."""
 
     __slots__ = ("records", "brief")
 
@@ -205,13 +184,16 @@ class _Rows:
 
 
 def _row_texts(rows: _Rows, pad: str) -> list[str]:
-    """The text of the list of rows _json_text writes at pad, one string per row.
+    """The rows _json_text writes for rows at pad, one string per row.
 
-    A piece that repeats between rows (a part entry, a local arrow matrix or
-    vector, a bound, a reason) is rendered once by _json_text and reused.
+    A row is a dict of a StratumRecord's ten fields. It ends with the comma
+    that follows it in the list; _json_text writes the brackets. A piece
+    that repeats between rows (a part entry, a local arrow matrix or vector,
+    a bound, a reason) is rendered once by _json_text and reused.
     """
+    step, comma = ("  ", ",") if pad else ("", ", ")
     # the pads of a row, of its fields and of the items of a field
-    row_pad, f, e = pad + "  ", pad + "    ", pad + "      "
+    row_pad, f, e = pad + step, pad + 2 * step, pad + 3 * step
     memo: dict = {}
 
     def piece(value, at: str = f) -> str:
@@ -224,7 +206,7 @@ def _row_texts(rows: _Rows, pad: str) -> list[str]:
         "codim_bound", "fiber_bound", "filtered", "local_arrows", "local_dim",
         "local_stability", "margin", "reason", "trivial", "type",
     )
-    row = row_pad + "{" + ",".join(f'{f}"{name}": %s' for name in fields) + row_pad + "},"
+    row = row_pad + "{" + comma.join(f'{f}"{name}": %s' for name in fields) + row_pad + "}" + comma
     out = []
     for rec in rows.records:
         lq, ld, ls = rec.local_quiver, rec.local_dim, rec.local_stability
@@ -240,12 +222,8 @@ def _row_texts(rows: _Rows, pad: str) -> list[str]:
             piece(None if margin is None else str(margin)),
             piece(reason),
             _CONSTANTS[rec.luna_type.is_trivial],
-            f'[{e}{("," + e).join([piece((p.coords, m), e) for p, m in rec.luna_type.parts])}{f}]',
+            f'[{e}{(comma + e).join([piece((p.coords, m), e) for p, m in rec.luna_type.parts])}{f}]',
         ))
-    if not out:
-        return ["[]"]
-    out[0] = "[" + out[0]
-    out[-1] = out[-1][:-1] + pad + "]"
     return out
 
 
@@ -256,17 +234,20 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 def _json_text(value, pad: str = "\n") -> list[str]:
     """The text of json.dumps(value, sort_keys=True, indent=2), byte for byte, in chunks.
 
-    pad is a newline plus the indentation of the line value starts on.
+    pad is a newline plus the indentation of the line value starts on. An
+    empty pad gives the one-line text of json.dumps(value, sort_keys=True)
+    instead, the layout of the human-readable view.
 
     Takes dicts with str keys, lists, tuples, str, int, bool and None, and
-    _Rows, written as the list of their _record_json rows; any other value
-    raises TypeError. A list of plain ints is one join, a row one chunk.
+    _Rows, written as the list of their rows; any other value raises
+    TypeError. A list of plain ints is one join, a row one chunk.
     """
+    step, comma = ("  ", ",") if pad else ("", ", ")
     chunks: list[str] = []
     put = chunks.append
 
     def write(value, pad: str) -> None:
-        inner = pad + "  "
+        inner = pad + step
         if isinstance(value, str):
             put(_encode_str(value))
         elif value is None or value is True or value is False:
@@ -274,15 +255,18 @@ def _json_text(value, pad: str = "\n") -> list[str]:
         elif isinstance(value, int):
             put(int.__repr__(value))
         elif isinstance(value, _Rows):
+            put("[")
             chunks.extend(_row_texts(value, pad))
+            # the closing bracket replaces the last row's comma, or the opening one
+            chunks[-1] = chunks[-1][: -len(comma)] + pad + "]" if value.records else "[]"
         elif isinstance(value, (list, tuple)) and {*map(type, value)} == {int}:
-            put(f"[{inner}{(',' + inner).join(map(int.__repr__, value))}{pad}]")
+            put(f"[{inner}{(comma + inner).join(map(int.__repr__, value))}{pad}]")
         elif isinstance(value, (list, tuple)):
             put("[")
             for item in value:
                 put(inner)
                 write(item, inner)
-                put(",")
+                put(comma)
             # the closing bracket replaces the last comma, or the opening one
             chunks[-1] = pad + "]" if value else "[]"
         elif isinstance(value, dict):
@@ -292,7 +276,7 @@ def _json_text(value, pad: str = "\n") -> list[str]:
                     raise TypeError(f"keys must be str, not {type(key).__name__}")
                 put(f"{inner}{_encode_str(key)}: ")
                 write(value[key], inner)
-                put(",")
+                put(comma)
             chunks[-1] = pad + "}" if value else "{}"
         else:
             raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
@@ -321,7 +305,7 @@ def cmd_info(problem: ProblemSpec, max_box: int) -> dict:
         "kernel_symmetric": symmetric_on_kernel(q, tnorm),
         "indivisible": is_indivisible(d),
         "coprime": coprime,
-        "slope": frac_str(slope(theta, d)),
+        "slope": str(slope(theta, d)),
         "expected_dim": moduli_dim(q, d),
     }
 
@@ -464,19 +448,20 @@ def _pretty_lines(payload: dict):
 
 
 def _pretty_value(value) -> str:
-    if isinstance(value, _Rows):
-        value = [_record_json(rec, value.brief) for rec in value.records]
-    if isinstance(value, dict):
-        if "pretty" in value:
-            return value["pretty"]
-        return json.dumps(value, sort_keys=True)
-    if isinstance(value, list):
-        if value and isinstance(value[0], dict):
-            lines = [""]
-            for item in value:
-                lines.append("  - " + json.dumps(item, sort_keys=True))
-            return "\n".join(lines)
-        return json.dumps(value)
+    """A payload value as the rest of its line in the human-readable view.
+
+    A result's pretty text, a scalar's str, or else its one-line JSON text;
+    a list of dicts, or of rows, puts each item on a line of its own.
+    """
+    if isinstance(value, dict) and "pretty" in value:
+        return value["pretty"]
+    if isinstance(value, _Rows) and value.records:
+        # a one-line row ends with the ", " that follows it in a list
+        return "".join([f"\n  - {row[:-2]}" for row in _row_texts(value, "")])
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        return "".join([f"\n  - {''.join(_json_text(item, ''))}" for item in value])
+    if isinstance(value, (dict, list, _Rows)):
+        return "".join(_json_text(value, ""))
     return str(value)
 
 

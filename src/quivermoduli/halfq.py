@@ -139,6 +139,9 @@ class HalfLaurent:
         return NotImplemented
 
     def __hash__(self):
+        # a constant equals its number, so it hashes as that number
+        if not self.coeffs.keys() - {0}:
+            return hash(self.coeffs.get(0, 0))
         return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other) -> "HalfLaurent":
@@ -385,7 +388,8 @@ class RatFunc:
         )
 
     def __hash__(self):
-        return hash((self.shift, self.num, self.den))
+        # a Laurent polynomial equals its HalfLaurent, so it hashes as that
+        return hash(self.as_laurent() if self.is_laurent else (self.shift, self.num, self.den))
 
     def __add__(self, other) -> "RatFunc":
         other = _as_ratfunc(other)

@@ -224,6 +224,12 @@ def dt_invariants(
     each invariant is canonicalized once, by one RatFunc.from_ratio with
     denominator |e| [e]!.
     """
+    logs = _dt_logs(q, theta, d, max_box)
+    return {e: _dt_value(e, logs) for e in map(DimVector, logs)}
+
+
+def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> dict:
+    """M(e) of dt_invariants for every slope-zero e <= d, keyed by e.coords."""
     tnorm = normalize_stability(theta, d)
     numerators, binom = _hn_numerators(q, d, tnorm, max_box)
     # S_N(e) = -(-v)^form(e,e) G(e), keyed by v-power
@@ -242,20 +248,22 @@ def dt_invariants(
                 rest = series[tuple(si - ti for si, ti in zip(s, t))]
                 _mul_add(acc, _mul(binom(s, t), logs[t]), rest, sign=-1)
         logs[s] = {p: c for p, c in acc.items() if c}
-    rescale = HalfLaurent({-1: 1, 1: -1})
-    invariants: dict[DimVector, RatFunc] = {}
-    for e in numerators:
-        s = e.coords
-        acc: dict[int, int] = {}  # |e| [e]! (Log S)_e
-        for m in range(1, max(s) + 1):
-            mu = _mobius(m)
-            if not mu or any(si % m for si in s):
-                continue
-            term = {p * m: c for p, c in logs[tuple(si // m for si in s)].items()}
-            _mul_add(acc, term, _factorial(e, m), sign=mu)
-        den = {p: sum(s) * c for p, c in _factorial(e).items()}
-        invariants[e] = RatFunc.from_ratio(rescale * HalfLaurent(acc), HalfLaurent(den))
-    return invariants
+    return logs
+
+
+def _dt_value(e: DimVector, logs: dict) -> RatFunc:
+    """DT_e of dt_invariants from the M of _dt_logs, canonicalized once."""
+    s = e.coords
+    acc: dict[int, int] = {}  # |e| [e]! (Log S)_e
+    for m in range(1, max(s) + 1):
+        mu = _mobius(m)
+        if not mu or any(si % m for si in s):
+            continue
+        term = {p * m: c for p, c in logs[tuple(si // m for si in s)].items()}
+        _mul_add(acc, term, _factorial(e, m), sign=mu)
+    den = {p: sum(s) * c for p, c in _factorial(e).items()}
+    # DT_e = (v^-1 - v) (Log S)_e, the factor applied in integers
+    return RatFunc.from_ratio(HalfLaurent(_mul({-1: 1, 1: -1}, acc)), HalfLaurent(den))
 
 
 def ic_poincare_dt(
@@ -266,14 +274,15 @@ def ic_poincare_dt(
     Returns (-v)^(1 - form(d, d)) * DT_d, which must come out a polynomial
     in q with integer coefficients. Requires the form to be symmetric on
     the kernel of the normalized stability; nonemptiness of the moduli
-    space is assumed, not checked.
+    space is assumed, not checked. Of the invariants of dt_invariants,
+    only DT_d is finished and canonicalized.
     """
     tnorm = normalize_stability(theta, d)
     if not symmetric_on_kernel(q, tnorm):
         raise PreconditionError(
             "form is not symmetric on the kernel of the stability"
         )
-    dt_d = dt_invariants(q, theta, d, max_box)[d]
+    dt_d = _dt_value(d, _dt_logs(q, theta, d, max_box))
     k = 1 - q.euler_form(d, d)
     # (-v)^k times a canonical value: a sign on num and k added to the shift
     # keep it canonical, so no second canonicalization is needed

@@ -7,12 +7,15 @@ from quivermoduli import (
     BoxGuardExceeded,
     DimVector,
     MarkedPartition,
+    Quiver,
     Stability,
     abelianized_quiver,
     box_size,
     build_example,
     complete_bipartite,
     is_generic_deformation,
+    kronecker_general,
+    levi_adjoint,
     normalize_stability,
     point_config_closed_form,
     point_config_local_data,
@@ -210,3 +213,38 @@ class TestRankOneSmallness:
         for m in range(1, 5):
             for n in range(1, 5):
                 assert rank_one_smallness_report(m, n).small == (m <= n)
+
+
+KRONECKER2 = Quiver(("i", "j"), ((0, 2), (0, 0)))
+ONE_ONE = MarkedPartition((1, 1), 0)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: levi_adjoint(0), "levi_adjoint needs at least one vertex"),
+            (lambda: levi_adjoint(2, 0), "block sizes must be positive"),
+            (lambda: levi_adjoint(-1, 3), "block sizes must be positive"),
+            (lambda: complete_bipartite((), (1,)), "block dimensions must be positive"),
+            (lambda: complete_bipartite((1,), (0, 2)), "block dimensions must be positive"),
+            (lambda: kronecker_general(-1, 2), "arrow counts must be nonnegative"),
+            (lambda: kronecker_general(2, -1), "arrow counts must be nonnegative"),
+            (
+                lambda: abelianized_quiver(KRONECKER2, DimVector((0, 0)), Stability((1, -1))),
+                "zero dimension vector",
+            ),
+            (lambda: MarkedPartition((), 0), "parts must be positive integers"),
+            (lambda: MarkedPartition((2, 0), 0), "parts must be positive integers"),
+            (lambda: MarkedPartition((1, 1), 2), "marked index out of range"),
+            (lambda: MarkedPartition((1, 1), -1), "marked index out of range"),
+            (lambda: point_config_local_data(0, 2, ONE_ONE), "needs m >= 1 and d >= 2"),
+            (lambda: point_config_local_data(4, 1, ONE_ONE), "needs m >= 1 and d >= 2"),
+            (lambda: rank_one_smallness_report(0, 1), "needs m, n >= 1"),
+            (lambda: rank_one_smallness_report(1, 0), "needs m, n >= 1"),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -11,6 +11,7 @@ from cli_oracle import _build_parser, oracle_parse
 from hn_oracle import hn_problems
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from pretty_oracle import pretty_text, record_json
 
 import quivermoduli.strata as strata_module
 from quivermoduli import (
@@ -24,14 +25,17 @@ from quivermoduli import (
 from quivermoduli.catalog import FAMILIES, example_from_spec
 from quivermoduli.cli import (
     COMMAND_TABLE,
+    ProblemSpec,
     _help_text,
     _json_text,
     _parse_argv,
-    _record_json,
+    _pretty_lines,
     _Rows,
+    load_problem,
     main,
 )
-from quivermoduli.core import Quiver
+from quivermoduli.core import DEFAULT_MAX_BOX, Quiver
+from quivermoduli.errors import QuiverModuliError
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(strata_module.__file__)))
 
@@ -175,6 +179,13 @@ class TestExitCodes:
     def test_missing_input(self, capsys):
         code, _, err = run(capsys, ["info"])
         assert code == 1
+
+    def test_input_and_example_refused_together(self, capsys, tmp_path):
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(KRONECKER2_PROBLEM), encoding="utf-8")
+        code, out, err = run(capsys, ["info", str(problem), "--example", "levi_adjoint:2"])
+        assert (code, out) == (1, "")
+        assert err == "error: input: give either an input file or --example, not both\n"
 
     def test_empty_example_spec_is_read(self, capsys):
         code, out, err = run(capsys, ["info", "--example", ""])
@@ -519,16 +530,19 @@ class TestTooManyTypes:
 
 
 def _rows_match_record_json(records):
-    # the rows at three depths, in the strata and in the smallness wording
+    # the rows at three depths, in the strata and in the smallness wording,
+    # indented and on one line
     for brief in (False, True):
-        rows = [_record_json(rec, brief) for rec in records]
+        rows = [record_json(rec, brief) for rec in records]
         for wrap in (lambda v: v, lambda v: {"types": v}, lambda v: [{"a": [v], "b": 0}]):
             expected = json.dumps(wrap(rows), sort_keys=True, indent=2)
             assert "".join(_json_text(wrap(_Rows(records, brief)))) == expected
+            expected = json.dumps(wrap(rows), sort_keys=True)
+            assert "".join(_json_text(wrap(_Rows(records, brief)), "")) == expected
 
 
 class TestRowWriter:
-    """The rows of strata and smallness are written as text; _record_json is the judge."""
+    """The rows of strata and smallness are written as text; record_json is the judge."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -815,10 +829,17 @@ JSON_VALUES = st.recursive(
 
 
 class TestJsonWriter:
+    """_json_text against json.dumps: indented at pad "\\n", on one line at pad ""."""
+
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(JSON_VALUES)
     def test_matches_json_dumps(self, value):
         assert "".join(_json_text(value)) == json.dumps(value, sort_keys=True, indent=2)
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(JSON_VALUES)
+    def test_one_line_matches_json_dumps(self, value):
+        assert "".join(_json_text(value, "")) == json.dumps(value, sort_keys=True)
 
     @pytest.mark.parametrize(
         "value",
@@ -831,11 +852,66 @@ class TestJsonWriter:
     )
     def test_edge_values(self, value):
         assert "".join(_json_text(value)) == json.dumps(value, sort_keys=True, indent=2)
+        assert "".join(_json_text(value, "")) == json.dumps(value, sort_keys=True)
 
     @pytest.mark.parametrize("value", [1.5, {1, 2}, {1: 0}, [0, {"a": 0.0}], {"a": {None: 1}}])
     def test_other_types_raise(self, value):
-        with pytest.raises(TypeError):
-            _json_text(value)
+        for pad in ("\n", ""):
+            with pytest.raises(TypeError):
+                _json_text(value, pad)
+
+
+# vertex names with non-ASCII characters, quotes and backslashes
+VERTEX_NAMES = st.text(st.characters(exclude_categories=("Cs",)) | st.sampled_from('"\\'), max_size=4)
+
+
+def _payloads(problem):
+    """The payload of every command on problem that answers."""
+    for command, (handler, _) in COMMAND_TABLE.items():
+        if command == "examples":
+            yield handler()
+            continue
+        try:
+            yield handler(problem, DEFAULT_MAX_BOX)
+        except (QuiverModuliError, ValueError):
+            pass
+
+
+class TestPrettyView:
+    """The human-readable view goes through the one-line writer; json.dumps is the judge."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "levi_adjoint:1",
+            "levi_adjoint:3",
+            "levi_adjoint:2,1",
+            "determinantal:3,2",
+            "points:4,2",
+            "bipartite:1,2,1,1,1",
+            "kronecker_general:0,0",
+            "kronecker_general:2,3",
+            "kronecker_general:3,2",
+        ],
+    )
+    @pytest.mark.parametrize("options", [[], ["--abelianize"], ["--assume-nonempty"]])
+    def test_catalog(self, capsys, spec, options):
+        argv = ["--example", spec, *options]
+        for payload in _payloads(load_problem(_parse_argv(["info", *argv]))):
+            command = payload["command"]
+            code, out, err = run(capsys, [command] + ([] if command == "examples" else argv))
+            assert (code, out, err) == (0, pretty_text(payload), "")
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(hn_problems(max_cells=12), st.data())
+    def test_random_problems(self, problem, data):
+        q, d, theta = problem
+        names = data.draw(st.lists(VERTEX_NAMES, min_size=q.n, max_size=q.n, unique=True))
+        deformed = data.draw(st.none() | st.tuples(*[st.integers(-3, 3)] * q.n).map(Stability))
+        quiver = Quiver(tuple(names), q.arrows)
+        spec = ProblemSpec(quiver, d, theta, deformed, data.draw(st.booleans()))
+        for payload in _payloads(spec):
+            assert "".join(_pretty_lines(payload)) == pretty_text(payload)
 
 
 def _cli_process(argv, stdout):

@@ -439,6 +439,22 @@ RECORDS = [
 ]
 
 
+class TestQuiverRefusals:
+    @pytest.mark.parametrize(
+        "vertices, arrows, message",
+        [
+            (("a", "a"), ((0, 1), (0, 0)), "vertex names must be unique"),
+            (("a", "b"), ((0, 1),), "arrow matrix must be square with side = number of vertices"),
+            (("a", "b"), ((0, 1), (0,)), "arrow matrix must be square with side = number of vertices"),
+            (("a", "b"), ((0, -1), (0, 0)), "arrow multiplicities must be nonnegative"),
+        ],
+    )
+    def test_refused(self, vertices, arrows, message):
+        with pytest.raises(ValueError) as exc:
+            Quiver(vertices, arrows)
+        assert str(exc.value) == message
+
+
 class TestRecords:
     """The value and record types behave as the frozen dataclasses they replace."""
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from ratfunc_oracle import from_ratio_by_euclid
+from ratfunc_oracle import from_ratio_by_euclid, poly_gcd
 
 from quivermoduli import (
     DimVector,
@@ -206,6 +206,80 @@ class TestFromRatioOracle:
         assert got.num.coeffs == want.num.coeffs
         assert got.den.coeffs == want.den.coeffs
         assert got.shift == want.shift
+
+
+# rational points at which both sides of an identity are evaluated
+POINTS = (Fraction(2, 3), Fraction(-5, 2), Fraction(7))
+SCALARS = st.integers(-5, 5) | st.builds(Fraction, st.integers(-9, 9), st.integers(1, 5))
+
+
+def _at(x, v: Fraction) -> Fraction:
+    """The value at v of a number, a HalfLaurent or a RatFunc."""
+    if isinstance(x, RatFunc):
+        return v**x.shift * _at(x.num, v) / _at(x.den, v)
+    if isinstance(x, HalfLaurent):
+        return sum((c * v**p for p, c in x.coeffs.items()), Fraction(0))
+    return Fraction(x)
+
+
+def _assert_canonical(r: RatFunc) -> None:
+    if r.is_zero:
+        assert (r.num.coeffs, r.den.coeffs, r.shift) == ({}, {0: 1}, 0)
+        return
+    assert r.den.leading_coefficient() == 1
+    assert r.num.valuation() == r.den.valuation() == 0
+    assert poly_gcd(r.num, r.den) == HalfLaurent.one()
+
+
+def _assert_equal_hash_equal(a, b) -> None:
+    assert a == b and b == a
+    assert hash(a) == hash(b)
+
+
+class TestOperatorsAtRationalPoints:
+    """The public operators of HalfLaurent and RatFunc, both sides evaluated
+    at rational v; equal values hash equal, and results stay canonical."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(laurents(), laurents(nonzero=True), laurents(nonzero=True), st.integers(0, 3), SCALARS)
+    # a negative shift: num_den moves v^shift into the denominator
+    @example(HalfLaurent({0: 1}), HalfLaurent({3: 2, 4: 1}), HalfLaurent({1: 1}), 2, 3)
+    # a constant and a polynomial in q
+    @example(HalfLaurent({0: 4}), HalfLaurent({0: 2}), HalfLaurent({0: 1, 4: -3}), 0, Fraction(1, 2))
+    def test_operators(self, num, den, l, n, c):
+        r = RatFunc.from_ratio(num, den)
+        top, bottom = r.num_den()
+        assert top.is_zero or top.valuation() >= 0
+        assert bottom.valuation() >= 0
+        differences = c - r, l - r
+        quotients = () if r.is_zero else (c / r, l / r)
+        for v in POINTS:
+            if not _at(r.den, v):
+                continue
+            rv, lv = _at(r, v), _at(l, v)
+            assert _at(l**n, v) == lv**n
+            assert _at(c - l, v) == c - lv
+            assert sum(l.coefficient(p) * v**p for p in range(-4, 9)) == lv
+            assert _at(top, v) / _at(bottom, v) == rv
+            assert [_at(x, v) for x in differences] == [c - rv, lv - rv]
+            if rv:
+                assert [_at(x, v) for x in quotients] == [c / rv, lv / rv]
+        for value in (*differences, *quotients):
+            _assert_canonical(value)
+        # equal values built two ways, and across types
+        _assert_equal_hash_equal(HalfLaurent(dict(reversed(l.coeffs.items()))), l)
+        _assert_equal_hash_equal(RatFunc.from_ratio(num * l, den * l), r)
+        if r.is_laurent:
+            _assert_equal_hash_equal(r, r.as_laurent())
+        _assert_equal_hash_equal(HalfLaurent({0: c}), c)
+        _assert_equal_hash_equal(RatFunc.scalar(c), c)
+        in_q = all(p >= 0 and p % 2 == 0 for p in l.coeffs)
+        assert l.is_q_polynomial() == RatFunc.from_ratio(l * den, den).is_q_polynomial() == in_q
+        assert not (r.is_q_polynomial() and r.den != 1)
+        with pytest.raises(ValueError):
+            l ** -1
+        with pytest.raises(ZeroDivisionError):
+            c / RatFunc.zero()
 
 
 class TestAdams:

@@ -61,6 +61,22 @@ class TestLunaType:
         assert not LunaType(((DimVector((2, 1)), 2),)).is_trivial
 
 
+class TestLunaTypeRefusals:
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            (((DimVector((1, 0)), 0),), "multiplicities must be positive"),
+            (((DimVector((1, 0)), 1), (DimVector((0, 1)), -1)), "multiplicities must be positive"),
+            (((DimVector((0, 0)), 1),), "zero part in a decomposition type"),
+            ((), "decomposition type needs at least one part"),
+        ],
+    )
+    def test_refused(self, parts, message):
+        with pytest.raises(ValueError) as exc:
+            LunaType(parts)
+        assert str(exc.value) == message
+
+
 class TestLunaTypes:
     def test_two_vertex_symmetric(self):
         types = luna_types(kronecker(2, 2), DimVector((1, 1)), Stability((0, 0)))
