@@ -339,8 +339,10 @@ def cmd_betti(problem: ProblemSpec, max_box: int) -> dict:
 
 def cmd_dt(problem: ProblemSpec, max_box: int) -> dict:
     values = dt_invariants(problem.quiver, problem.stability, problem.dim_vector, max_box)
+    # dt_invariants shares one value object per orbit, so render each once
+    texts = {i: ratfunc_json(v) for i, v in {id(v): v for v in values.values()}.items()}
     rows = [
-        {"exponent": list(e.coords), "dt": ratfunc_json(v)}
+        {"exponent": list(e.coords), "dt": texts[id(v)]}
         for e, v in sorted(values.items(), key=lambda kv: kv[0].coords)
     ]
     return {"command": "dt", "invariants": rows}

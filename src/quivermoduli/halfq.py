@@ -43,11 +43,14 @@ def _mobius(n: int) -> int:
 
 
 def _mul_add(acc: dict, a: Mapping, b: Mapping, shift: int = 0, sign: int = 1) -> dict:
-    """Add sign * v^shift * a * b into acc, sign 1 or -1, and return acc."""
+    """Add sign * v^shift * a * b into acc and return acc.
+
+    sign is any integer factor: a sign, or a sign times the size of an orbit.
+    """
     for p1, c1 in a.items():
         p1 += shift
-        if sign < 0:
-            c1 = -c1
+        if sign != 1:
+            c1 *= sign
         for p2, c2 in b.items():
             acc[p1 + p2] = acc.get(p1 + p2, 0) + c1 * c2
     return acc

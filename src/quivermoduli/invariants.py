@@ -9,7 +9,10 @@ polynomials in v, Gaussian-normalized: the coefficient at e is kept
 multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). No gcd is
 taken on the way, and every result (p, the Betti polynomial, each DT
 invariant) is canonicalized exactly once, by one RatFunc.from_ratio; the
-sign twist of the DT route keeps the canonical form. The routes are
+sign twist of the DT route keeps the canonical form. Both recursions run
+over orbits: vertices that a swap leaves interchangeable give equal values
+on every cell of an orbit, so one canonical cell per orbit is computed, and
+a step stands for a whole orbit of pairs. The routes are
 
 * the DT route, a sign-twisted DT invariant, valid when the form is
   symmetric on the kernel of the stability;
@@ -21,15 +24,17 @@ Both are exact and must agree whenever their shared hypotheses hold.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from functools import cache
+from itertools import chain, combinations_with_replacement, groupby, product, repeat
+from math import factorial, prod
+from operator import itemgetter
 
 from .core import (
     DEFAULT_MAX_BOX,
     DimVector,
     Quiver,
     Stability,
-    box_iter,
     check_box,
     is_coprime,
     normalize_stability,
@@ -73,18 +78,92 @@ def _binomials(top: int) -> Callable[[tuple[int, ...], tuple[int, ...]], dict[in
     return binom
 
 
+@cache
+def _run_choices(k: int, top: int) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The non-increasing c in [0, top]^k, and for each the number of its distinct orderings."""
+    values = list(combinations_with_replacement(range(top, -1, -1), k))
+    counts = [factorial(k) // prod(factorial(len(list(g))) for _, g in groupby(c)) for c in values]
+    return values, counts
+
+
+def _orbits(
+    euler: tuple[tuple[int, ...], ...], d: DimVector, tnorm: Stability
+) -> tuple[Iterable[tuple[int, ...]], Callable, Callable]:
+    """Canonical cells and orbit walks for the classes of interchangeable vertices.
+
+    Vertices i and j are interchangeable when swapping them fixes the Euler
+    matrix euler, d and tnorm. This is an equivalence relation, since (ik) =
+    (ij)(jk)(ij), and permuting the vertices within its classes fixes G, S_N
+    and M of the recursions below. Returns (cells, canon, walk):
+
+    * cells are the canonical cells of the box [0, d] in ascending
+      lexicographic order;
+    * canon(t) sorts t descending within each class: the one cell of its
+      orbit that the recursions keep;
+    * walk(s), for a canonical s, yields (t, w) for one t in each orbit of
+      the cells t <= s under the stabilizer of s, where w is the size of the
+      orbit. The stabilizer permutes each run of equal values of s within a
+      class, so t is non-increasing along each run and w is a product of
+      multinomials. form(s - t, s) and binom(s, t) are constant on the orbit.
+
+    When every class is a single vertex, cells is sub_box(d), canon is the
+    identity and walk is sub_box with weight 1.
+    """
+    n, dc, w = len(d), d.coords, tnorm.weights
+
+    def swappable(i: int, j: int) -> bool:
+        # a vertex of dimension 0 is left single: every cell is 0 there
+        if not dc[i] or (dc[i], w[i]) != (dc[j], w[j]):
+            return False
+        p = list(range(n))
+        p[i], p[j] = j, i
+        return all(euler[p[a]][p[b]] == euler[a][b] for a in range(n) for b in range(n))
+
+    classes: dict[int, list[int]] = {}  # keyed by their first vertex
+    live = [key for key in zip(dc, w) if key[0]]
+    if len(set(live)) < len(live):  # else no two vertices can be interchangeable
+        for i in range(n):
+            classes.setdefault(next((f for f in classes if swappable(f, i)), i), []).append(i)
+    if len(classes) in (0, n):  # no class of two or more vertices
+        return sub_box(dc), tuple, lambda s: zip(sub_box(s), repeat(1))
+    units = list(classes.values())
+    multiple = [cls for cls in units if len(cls) > 1]
+    # a walk draws the values class by class; place puts them in vertex order
+    order = list(chain.from_iterable(units))
+    place = itemgetter(*sorted(range(n), key=order.__getitem__))
+
+    def canon(t: tuple[int, ...]) -> tuple[int, ...]:
+        out = list(t)
+        for cls in multiple:
+            for p, x in zip(cls, sorted([t[p] for p in cls], reverse=True)):
+                out[p] = x
+        return tuple(out)
+
+    def walk(s: tuple[int, ...]):
+        runs = [
+            _run_choices(len(list(g)), top) for c in units for top, g in groupby(s[p] for p in c)
+        ]
+        values = map(tuple, map(chain.from_iterable, product(*(r[0] for r in runs))))
+        return zip(map(place, values), map(prod, product(*(r[1] for r in runs))))
+
+    return sorted(map(itemgetter(0), walk(dc))), cache(canon), walk
+
+
 def _hn_numerators(
     q: Quiver, d: DimVector, theta: Stability, max_box: int
-) -> tuple[dict[DimVector, dict[int, int]], Callable]:
-    """Harder-Narasimhan recursion over the cells of the box [0, d].
+) -> tuple[dict[DimVector, dict[int, int]], Callable, Callable, Callable]:
+    """Harder-Narasimhan recursion over the canonical cells of the box [0, d].
 
-    Returns G(e) = -[e]! p_e for every nonzero e <= d with slope(e) =
-    slope(d), as an integer Laurent polynomial {k: coefficient of v^k},
-    where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)), and the call's
-    Gaussian-binomial table, which the DT log reuses. See p_poly for the
-    sum and the recursion. Cells S, and the cells T <= S of each sub-box,
-    are visited in ascending lexicographic order, so every T < S is
-    finished before S; only cells of slope at least slope(d) are needed.
+    Returns G(e) = -[e]! p_e for every canonical nonzero e <= d (see
+    _orbits) with slope(e) = slope(d), as an integer Laurent polynomial
+    {k: coefficient of v^k}, where [e]! = prod_i prod_{j=1}^{e_i} (1 -
+    v^(-2j)); then the call's Gaussian-binomial table and the canon and
+    walk of _orbits, which the DT log reuses. See p_poly for the sum and
+    the recursion. G is constant on orbits, so a cell S steps once per
+    orbit of its sub-box, weighted by the orbit's size, at G(canon T). For
+    T <= S, canon T <= S too, so visiting the canonical cells in ascending
+    lexicographic order finishes every canon T != S before S; only cells
+    of slope at least slope(d) are needed.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -94,10 +173,12 @@ def _hn_numerators(
     euler = q.euler_matrix()
     n = len(d)
     binom = _binomials(max(d))
+    cells, canon, walk = _orbits(euler, d, tnorm)
     # cells that may end a proper partial sum, with their G values
     sources: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
     numerators: dict[DimVector, dict[int, int]] = {}
-    for cell in box_iter(d):
+    for s in cells:
+        cell = DimVector(s)
         if cell.is_zero:
             continue
         weight = tnorm(cell)
@@ -105,23 +186,23 @@ def _hn_numerators(
             raise InternalCheckError("slope and weight forms of the condition disagree")
         if weight < 0:
             continue
-        s = cell.coords
         es = [sum(row[j] * s[j] for j in range(n)) for row in euler]
         form_ss = sum(a * b for a, b in zip(s, es))
         acc: dict[int, int] = {}
-        for t in sub_box(s):
-            if t in sources:  # -v^(-2 form(S - T, S)) [S]! / ([T]! [S - T]!) G(T)
+        for t, w in walk(s):
+            g = sources.get(canon(t))
+            if g is not None:  # -w v^(-2 form(S - T, S)) [S]! / ([T]! [S - T]!) G(T)
                 shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
-                _mul_add(acc, sources[t], binom(s, t), shift, -1)
+                _mul_add(acc, g, binom(s, t), shift, -w)
         acc = {p: c for p, c in acc.items() if c}
         if weight > 0:
             sources[s] = acc
         else:
             numerators[cell] = acc
-    return numerators, binom
+    return numerators, binom, canon, walk
 
 
-def _factorial(e: DimVector, m: int = 0) -> dict[int, int]:
+def _factorial(e: Iterable[int], m: int = 0) -> dict[int, int]:
     """prod_i prod_{j <= e_i, m not dividing j} (1 - v^(-2j)); [e]! when m = 0."""
     out = {0: 1}
     for di in e:
@@ -160,8 +241,13 @@ def p_poly(
     G(S) = [S]! F(S) steps by -v^(-2 form(S - T, S)) [S choose T] G(T), so the
     recursion runs in integer Laurent polynomials in v and p = -G(d) / [d]!
     is canonicalized once at the end.
-    Each cell S walks its sub-box [0, S], so the work is at most one step per
-    pair T <= S of cells, prod_i (d_i + 1)(d_i + 2) / 2, polynomial in the box.
+    The recursion keeps one canonical cell S per orbit of the classes of
+    interchangeable vertices, and S steps once per orbit of its sub-box under
+    the stabilizer of S, weighted by the orbit's size (see _orbits). The work
+    is one step per canonical pair: at most prod_i (d_i + 1)(d_i + 2) / 2,
+    the count of all pairs T <= S, when no two vertices are interchangeable,
+    and (k + 1)(k + 2) / 2 instead of 3^k on k interchangeable vertices of
+    dimension 1.
     """
     return _p_value(_hn_numerators(q, d, theta, max_box)[0][d], d)
 
@@ -214,54 +300,60 @@ def dt_invariants(
 
         M(e) = |e| S_N(e) - sum_{0 < e1 < e} [e choose e1] M(e1) S_N(e - e1)
 
-    for M(e) = |e| [e]! (log S)_e. Each e walks its sub-box and steps at the
-    slope-zero e1 in it, at most prod_i (d_i + 1)(d_i + 2) / 2 pairs in all.
+    for M(e) = |e| [e]! (log S)_e. Like G in p_poly, M is computed at one
+    canonical e per orbit, which steps once per orbit of its sub-box, at the
+    slope-zero e1: at most one step per canonical pair of p_poly.
     The Moebius inversion of the Adams operations then reads
 
         |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(v -> v^m),
 
     and the last factor is _factorial(e, m). No gcd is taken until the end:
     each invariant is canonicalized once, by one RatFunc.from_ratio with
-    denominator |e| [e]!.
+    denominator |e| [e]!, at the canonical e of its orbit; every e of the
+    orbit shares that one value.
     """
-    logs = _dt_logs(q, theta, d, max_box)
-    return {e: _dt_value(e, logs) for e in map(DimVector, logs)}
+    logs, canon = _dt_logs(q, theta, d, max_box)
+    values = {s: _dt_value(s, logs) for s in logs}
+    return {DimVector(t): values[c] for t in sub_box(d.coords) if (c := canon(t)) in values}
 
 
-def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> dict:
-    """M(e) of dt_invariants for every slope-zero e <= d, keyed by e.coords."""
+def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> tuple[dict, Callable]:
+    """M(e) of dt_invariants for every canonical slope-zero e <= d, keyed by
+    e.coords, and the canon of _orbits."""
     tnorm = normalize_stability(theta, d)
-    numerators, binom = _hn_numerators(q, d, tnorm, max_box)
+    numerators, binom, canon, walk = _hn_numerators(q, d, tnorm, max_box)
     # S_N(e) = -(-v)^form(e,e) G(e), keyed by v-power
     series: dict[tuple[int, ...], dict[int, int]] = {}
     for e, g in numerators.items():
         form_ee = q.euler_form(e, e)
         sign = 1 if form_ee % 2 else -1
         series[e.coords] = {form_ee + p: sign * c for p, c in g.items()}
-    # M(e), cells in ascending lexicographic order, so every e1 < e comes first
+    # M(e), canonical cells in ascending lexicographic order, so every
+    # canon e1 != e comes first; one weighted step per orbit, as in G
     logs: dict[tuple[int, ...], dict[int, int]] = {}
     for s, s_n in series.items():
         size = sum(s)
         acc = {p: size * c for p, c in s_n.items()}
-        for t in sub_box(s):
-            if t in logs:
-                rest = series[tuple(si - ti for si, ti in zip(s, t))]
-                _mul_add(acc, _mul(binom(s, t), logs[t]), rest, sign=-1)
+        for t, w in walk(s):
+            m = logs.get(canon(t))
+            if m is not None:
+                rest = series[canon(tuple(si - ti for si, ti in zip(s, t)))]
+                _mul_add(acc, _mul(binom(s, t), m), rest, sign=-w)
         logs[s] = {p: c for p, c in acc.items() if c}
-    return logs
+    return logs, canon
 
 
-def _dt_value(e: DimVector, logs: dict) -> RatFunc:
-    """DT_e of dt_invariants from the M of _dt_logs, canonicalized once."""
-    s = e.coords
+def _dt_value(s: tuple[int, ...], logs: dict) -> RatFunc:
+    """DT_e at the canonical e = s of dt_invariants from the M of _dt_logs,
+    canonicalized once."""
     acc: dict[int, int] = {}  # |e| [e]! (Log S)_e
     for m in range(1, max(s) + 1):
         mu = _mobius(m)
         if not mu or any(si % m for si in s):
             continue
         term = {p * m: c for p, c in logs[tuple(si // m for si in s)].items()}
-        _mul_add(acc, term, _factorial(e, m), sign=mu)
-    den = {p: sum(s) * c for p, c in _factorial(e).items()}
+        _mul_add(acc, term, _factorial(s, m), sign=mu)
+    den = {p: sum(s) * c for p, c in _factorial(s).items()}
     # DT_e = (v^-1 - v) (Log S)_e, the factor applied in integers
     return RatFunc.from_ratio(HalfLaurent(_mul({-1: 1, 1: -1}, acc)), HalfLaurent(den))
 
@@ -282,7 +374,7 @@ def ic_poincare_dt(
         raise PreconditionError(
             "form is not symmetric on the kernel of the stability"
         )
-    dt_d = _dt_value(d, _dt_logs(q, theta, d, max_box))
+    dt_d = _dt_value(d.coords, _dt_logs(q, theta, d, max_box)[0])
     k = 1 - q.euler_form(d, d)
     # (-v)^k times a canonical value: a sign on num and k added to the shift
     # keep it canonical, so no second canonicalization is needed

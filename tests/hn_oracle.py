@@ -7,6 +7,11 @@ number of decompositions grows super-exponentially with the box, so this
 is for small boxes only; the package computes the same sum by the
 Harder-Narasimhan recursion. ``hn_problems`` draws the random inputs the
 differential tests share.
+
+``hn_numerators_by_cells`` and ``dt_logs_by_cells`` run that recursion and
+the DT log over every cell of the box, one step per pair T <= S. The
+package runs them over one cell per orbit of interchangeable vertices;
+``repeated_vertex_problems`` draws inputs that have such orbits.
 """
 
 from __future__ import annotations
@@ -16,7 +21,20 @@ from dataclasses import dataclass
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from quivermoduli import DimVector, HalfLaurent, Quiver, RatFunc, Stability, box_iter, slope
+from quivermoduli import (
+    DimVector,
+    HalfLaurent,
+    Quiver,
+    RatFunc,
+    Stability,
+    abelianized_quiver,
+    box_iter,
+    normalize_stability,
+    slope,
+)
+from quivermoduli.core import sub_box
+from quivermoduli.halfq import _mul, _mul_add
+from quivermoduli.invariants import _binomials
 
 
 @dataclass(frozen=True)
@@ -106,3 +124,96 @@ def hn_problems(draw, max_cells: int = 24, vertices: tuple[int, int] = (2, 4)):
     assume(any(coords))
     weights = draw(st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-3, 3)] * n)))
     return Quiver.from_matrix(arrows), DimVector(tuple(coords)), Stability(weights)
+
+
+def hn_numerators_by_cells(q: Quiver, d: DimVector, theta: Stability) -> dict[DimVector, dict]:
+    """G(e) = -[e]! p_e of the HN recursion at every nonzero e <= d of slope(d).
+
+    Every cell S of slope at least slope(d) steps at every T <= S that is 0 or
+    of slope above slope(d), in ascending lexicographic order, by
+    -v^(-2 form(S - T, S)) [S choose T] G(T).
+    """
+    tnorm = normalize_stability(theta, d)
+    euler = q.euler_matrix()
+    n = len(d)
+    binom = _binomials(max(d))
+    sources: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
+    numerators: dict[DimVector, dict[int, int]] = {}
+    for cell in box_iter(d):
+        weight = tnorm(cell)
+        if cell.is_zero or weight < 0:
+            continue
+        s = cell.coords
+        es = [sum(row[j] * s[j] for j in range(n)) for row in euler]
+        form_ss = sum(a * b for a, b in zip(s, es))
+        acc: dict[int, int] = {}
+        for t in sub_box(s):
+            if t in sources:
+                shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
+                _mul_add(acc, sources[t], binom(s, t), shift, -1)
+        acc = {p: c for p, c in acc.items() if c}
+        if weight > 0:
+            sources[s] = acc
+        else:
+            numerators[cell] = acc
+    return numerators
+
+
+def dt_logs_by_cells(q: Quiver, theta: Stability, d: DimVector) -> dict[tuple[int, ...], dict]:
+    """M(e) = |e| [e]! (log S)_e of dt_invariants at every slope-zero e <= d.
+
+    S_N(e) = -(-v)^form(e,e) G(e), and every e steps at every slope-zero
+    0 < e1 < e by M(e) -= [e choose e1] M(e1) S_N(e - e1).
+    """
+    tnorm = normalize_stability(theta, d)
+    binom = _binomials(max(d))
+    series: dict[tuple[int, ...], dict[int, int]] = {}
+    for e, g in hn_numerators_by_cells(q, d, tnorm).items():
+        form_ee = q.euler_form(e, e)
+        sign = 1 if form_ee % 2 else -1
+        series[e.coords] = {form_ee + p: sign * c for p, c in g.items()}
+    logs: dict[tuple[int, ...], dict[int, int]] = {}
+    for s, s_n in series.items():
+        size = sum(s)
+        acc = {p: size * c for p, c in s_n.items()}
+        for t in sub_box(s):
+            if t in logs:
+                rest = series[tuple(si - ti for si, ti in zip(s, t))]
+                _mul_add(acc, _mul(binom(s, t), logs[t]), rest, sign=-1)
+        logs[s] = {p: c for p, c in acc.items() if c}
+    return logs
+
+
+@st.composite
+def repeated_vertex_problems(draw, max_cells: int = 64):
+    """(quiver, d, theta) with k = 2-4 interchangeable vertices.
+
+    A random quiver on 1-3 vertices gets k - 1 copies of one vertex, with its
+    dimension, weight, loops and arrows to and from the others, and one
+    arrow count, the same both ways, between any two copies. The vertices
+    are then shuffled, and sometimes the problem is replaced by its
+    abelianization, whose copies of a vertex are interchangeable too.
+    """
+    base = draw(st.integers(1, 3))
+    copied = draw(st.integers(0, base - 1))
+    index = list(range(base)) + [copied] * (draw(st.integers(2, 4)) - 1)
+    index = [index[i] for i in draw(st.permutations(range(len(index))))]
+    arrows = [[draw(st.integers(0, 3)) for _ in range(base)] for _ in range(base)]
+    between = draw(st.integers(0, 3))
+    matrix = [
+        [between if a != b and i == j == copied else arrows[i][j] for b, j in enumerate(index)]
+        for a, i in enumerate(index)
+    ]
+    top = 2 if len(index) <= 3 else 1
+    coords = [draw(st.integers(0, top)) for _ in range(base)]
+    weights = draw(st.one_of(st.just((0,) * base), st.tuples(*[st.integers(-3, 3)] * base)))
+    d = DimVector(tuple(coords[i] for i in index))
+    assume(not d.is_zero)
+    cells = 1
+    for c in d:
+        cells *= c + 1
+    assume(cells <= max_cells)
+    problem = Quiver.from_matrix(matrix), d, Stability(tuple(weights[i] for i in index))
+    if d.total <= 5 and draw(st.booleans()):
+        problem = abelianized_quiver(*problem)
+    return problem

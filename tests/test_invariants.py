@@ -441,11 +441,13 @@ class TestOneCanonicalization:
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_one_from_ratio_per_dt_invariant(self, monkeypatch, l):
-        # dt_invariants canonicalizes each of its 2^l - 1 exponents once;
+        # all l vertices are interchangeable, so the 2^l - 1 exponents form
+        # l orbits and dt_invariants canonicalizes once per orbit;
         # ic_poincare_dt finishes DT_d only, and the sign twist adds no call
         q, d, theta = complete_with_loops(l), DimVector((1,) * l), Stability((0,) * l)
         calls = self._count_from_ratio(monkeypatch)
-        assert len(dt_invariants(q, theta, d)) == len(calls) == 2**l - 1
+        assert len(dt_invariants(q, theta, d)) == 2**l - 1
+        assert len(calls) == l
         del calls[:]
         ic_poincare_dt(q, d, theta)
         assert len(calls) == 1
