@@ -188,18 +188,27 @@ def _row_texts(rows: _Rows, pad: str) -> list[str]:
 
     A row is a dict of a StratumRecord's ten fields. It ends with the comma
     that follows it in the list; _json_text writes the brackets. A piece
-    that repeats between rows (a part entry, a local arrow matrix or vector,
-    a bound, a reason) is rendered once by _json_text and reused.
+    that repeats between rows is rendered once by _json_text and reused.
+    stratum_records shares one object per piece of local data between the
+    types of a Gram key, and one (part, multiplicity) entry between the
+    types that contain it, so those pieces are looked up by object first.
     """
     step, comma = ("  ", ",") if pad else ("", ", ")
     # the pads of a row, of its fields and of the items of a field
     row_pad, f, e = pad + step, pad + 2 * step, pad + 3 * step
-    memo: dict = {}
+    # (value, pad) -> text; id -> text of a field's object, which the records
+    # keep alive, so an id names one object throughout
+    texts: dict = {}
+    by_id: dict[int, str] = {}
 
     def piece(value, at: str = f) -> str:
-        text = memo.get((value, at))
+        text = texts.get((value, at))
         if text is None:
-            text = memo[value, at] = "".join(_json_text(value, at))
+            text = texts[value, at] = "".join(_json_text(value, at))
+        return text
+
+    def shared(obj, value, at: str = f) -> str:
+        text = by_id[id(obj)] = piece(value, at)
         return text
 
     fields = (
@@ -207,22 +216,24 @@ def _row_texts(rows: _Rows, pad: str) -> list[str]:
         "local_stability", "margin", "reason", "trivial", "type",
     )
     row = row_pad + "{" + comma.join(f'{f}"{name}": %s' for name in fields) + row_pad + "}" + comma
+    known = by_id.get
     out = []
     for rec in rows.records:
         lq, ld, ls = rec.local_quiver, rec.local_dim, rec.local_stability
         fiber, margin = rec.fiber_bound, rec.margin
         reason = rec.reason and rec.reason.partition(" (-")[0] if rows.brief else rec.reason
+        parts = [known(id(x)) or shared(x, (x[0].coords, x[1]), e) for x in rec.luna_type.parts]
         out.append(row % (
             rec.codim_bound,
-            piece(None if fiber is None else str(fiber)),
+            known(id(fiber)) or shared(fiber, None if fiber is None else str(fiber)),
             _CONSTANTS[rec.filtered],
-            piece(None if lq is None else lq.arrows),
-            piece(None if ld is None else ld.coords),
+            known(id(lq)) or shared(lq, None if lq is None else lq.arrows),
+            known(id(ld)) or shared(ld, None if ld is None else ld.coords),
             piece(None if ls is None else ls.weights),
-            piece(None if margin is None else str(margin)),
+            known(id(margin)) or shared(margin, None if margin is None else str(margin)),
             piece(reason),
             _CONSTANTS[rec.luna_type.is_trivial],
-            f'[{e}{(comma + e).join([piece((p.coords, m), e) for p, m in rec.luna_type.parts])}{f}]',
+            f"[{e}{(comma + e).join(parts)}{f}]",
         ))
     return out
 

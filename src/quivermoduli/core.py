@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterable
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from math import gcd
 
 from .errors import BoxGuardExceeded, InternalCheckError, PreconditionError
@@ -294,6 +294,33 @@ def box_iter(d: DimVector):
     return map(DimVector, sub_box(d.coords))
 
 
+#: Most cells of the inner box that _weight_blocks lists once.
+_BLOCK_CELLS = 4096
+
+
+def _weight_blocks(weights: tuple[int, ...], s: tuple[int, ...]):
+    """The weights of the t in sub_box(s), in that order, in lists of consecutive cells.
+
+    The inner box of the last coordinates (at most _BLOCK_CELLS cells, or
+    the last coordinate alone) is weighed once, one addition per cell; each
+    block is that list shifted by the weight of one cell of the outer box.
+    """
+    split, inner = len(s), [0]
+    while split and (split == len(s) or len(inner) * (s[split - 1] + 1) <= _BLOCK_CELLS):
+        split -= 1
+        steps = [k * weights[split] for k in range(s[split] + 1)]
+        inner = [step + w for step in steps for w in inner]
+    outer = weights[:split]
+    for t in sub_box(s[:split]):
+        base = sum(map(operator.mul, outer, t))
+        yield [base + w for w in inner] if base else inner
+
+
+def _cell_weights(weights: tuple[int, ...], s: tuple[int, ...]):
+    """The weight of every t in sub_box(s), in that order; see _weight_blocks."""
+    return chain.from_iterable(_weight_blocks(weights, s))
+
+
 # ---------------------------------------------------------------------------
 # slopes, coprimality, normalization
 
@@ -318,18 +345,16 @@ def is_indivisible(d: DimVector) -> bool:
 def is_coprime(theta: Stability, d: DimVector, max_box: int = DEFAULT_MAX_BOX) -> bool:
     """True when no proper nonzero e <= d has the same weight as d.
 
-    Checked by enumerating the full box [0, d].
+    Checked on the weights of the full box [0, d], listed in integers by
+    _weight_blocks; no DimVector is built.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
     check_box(d, max_box)
     target = theta(d)
-    for e in box_iter(d):
-        if e.is_zero or e == d:
-            continue
-        if theta(e) == target:
-            return False
-    return True
+    # the zero cell weighs 0 and d weighs the target: any other tie is proper
+    ties = sum(block.count(target) for block in _weight_blocks(theta.weights, d.coords))
+    return ties == 1 + (target == 0)
 
 
 def normalize_stability(theta: Stability, d: DimVector) -> Stability:
@@ -362,37 +387,30 @@ def moduli_dim(q: Quiver, d: DimVector) -> int:
 # exact linear algebra over the rationals
 
 
-def _rational_rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col]:
-                pivot = r
-                break
+def _integer_rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of an integer matrix, by fraction-free (Bareiss)
+    elimination: each entry is a minor of the input, so every division by the
+    previous pivot is exact. The Fraction elimination is the test oracle."""
+    rows = [list(row) for row in rows]
+    rank, prev = 0, 1
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = 1 / rows[pivot_row][col]
-        rows[pivot_row] = [x * inv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for r in range(rank + 1, len(rows)):
+            a = rows[r][col]
+            rows[r] = [(p * x - a * y) // prev for x, y in zip(rows[r], top)]
+        prev = p
         rank += 1
     return rank
 
 
 def skew_rank(q: Quiver) -> int:
     """Rank over the rationals of the antisymmetrized form; always even."""
-    rows = [[Fraction(x) for x in row] for row in q.skew_matrix()]
-    if not rows:
-        return 0
-    return _rational_rank(rows)
+    return _integer_rank(q.skew_matrix())
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:

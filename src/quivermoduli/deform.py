@@ -13,15 +13,18 @@ verified by is_generic_deformation.
 from __future__ import annotations
 
 import operator
+from itertools import islice
 
 from .core import (
     DEFAULT_MAX_BOX,
     DimVector,
     Stability,
+    _cell_weights,
     _Record,
-    box_iter,
+    box_size,
     check_box,
     is_indivisible,
+    sub_box,
 )
 from .errors import EtaSearchExhausted, InternalCheckError, PreconditionError
 
@@ -49,7 +52,8 @@ def is_generic_deformation(
     occur where theta was already nonpositive, and no proper subvector
     ties the deformed value of d. The deformed stability is additionally
     required to vanish on d itself, so the coprimality check reduces to
-    theta_prime(e) != 0.
+    theta_prime(e) != 0. Both weights of every cell come from _cell_weights
+    in integers; a DimVector is built only for a reported violation.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -60,17 +64,16 @@ def is_generic_deformation(
     target = theta_prime(d)
     if target != 0:
         violations.append(("nonzero_on_d", d))
-    for e in box_iter(d):
-        if e.is_zero or e == d:
-            continue
-        te = theta(e)
-        tpe = theta_prime(e)
+    s = d.coords
+    cells = zip(sub_box(s), _cell_weights(theta.weights, s), _cell_weights(theta_prime.weights, s))
+    # every cell but the first (zero) and the last (d)
+    for e, te, tpe in islice(cells, 1, box_size(d) - 1):
         if te < 0 and tpe >= 0:
-            violations.append(("lost_negativity", e))
+            violations.append(("lost_negativity", DimVector(e)))
         if tpe <= 0 and te > 0:
-            violations.append(("gained_nonpositivity", e))
+            violations.append(("gained_nonpositivity", DimVector(e)))
         if tpe == target:
-            violations.append(("coprimality_tie", e))
+            violations.append(("coprimality_tie", DimVector(e)))
     return DeformationVerdict(not violations, tuple(violations))
 
 
@@ -93,8 +96,10 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
     extensions:
     - a head x_0..x_j (j < k) whose partial sum |sum_{i<=j} x_i d_i|
       exceeds bound * (sum_{j<i<k} d_i + d_k) leaves no x_k in range;
-    - each critical e is tested once, at the index of its last nonzero
-      coordinate, where eta(e) is already fixed.
+    - each critical e is tested at the index i of its last nonzero
+      coordinate, where eta(e) = v + x_i e_i with v fixed by the head. For
+      i < k, v is computed once per head and the one x_i that makes eta(e)
+      vanish, if any, is cut; x_k is tested directly.
     A cut prefix has no valid extension, and the walk visits the others in
     lexicographic order, so it returns the first valid candidate of the
     full enumeration, the test oracle in tests/deform_oracle.py, and raises
@@ -118,17 +123,25 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
             return max(map(abs, eta)) == bound
         if i == k:
             xk, rest = divmod(-partial, dk)
-            choices = () if rest or abs(xk) > bound else (xk,)
-        else:
-            choices = values
-        for x in choices:
+            if rest or abs(xk) > bound:
+                return False
+            eta[k] = xk
+            return all(sum(map(operator.mul, eta, e)) for e in checks[k]) and walk(
+                k + 1, 0, bound, values
+            )
+        # eta(e) = v + x e_i for a critical e ending at i: x = -v / e_i is cut
+        eta[i] = 0
+        cut = set()
+        for e in checks[i]:
+            v = sum(map(operator.mul, eta, e))
+            if v % e[i] == 0:
+                cut.add(-v // e[i])
+        for x in values:
             nxt = partial + x * coords[i]
-            if i < k and abs(nxt) > bound * reach[i]:
+            if x in cut or (i < k and abs(nxt) > bound * reach[i]):
                 continue
             eta[i] = x
-            if all(sum(map(operator.mul, eta, e)) for e in checks[i]) and walk(
-                i + 1, nxt, bound, values
-            ):
+            if walk(i + 1, nxt, bound, values):
                 return True
         return False
 
@@ -164,11 +177,14 @@ def generic_deformation(
     if theta(d) != 0:
         raise PreconditionError("stability does not vanish on d; normalize it first")
     check_box(d, max_box)
-    cells = [(e, theta(e)) for e in box_iter(d) if not e.is_zero and e != d]
-    bound = sum(d.coords) * (sum(d.coords) ** 2 + 2) ** (len(d) - 1)
-    eta = _search_eta(d, [e for e, te in cells if te == 0], bound)
+    s = d.coords
+    # the zero cell and d weigh 0 under theta; the other critical cells become DimVectors
+    cells = islice(zip(sub_box(s), _cell_weights(theta.weights, s)), 1, box_size(d) - 1)
+    bound = sum(s) * (sum(s) ** 2 + 2) ** (len(d) - 1)
+    eta = _search_eta(d, [DimVector(e) for e, te in cells if te == 0], bound)
     # C must beat eta(e) where theta(e) < 0 and -eta(e) where theta(e) > 0
-    scale = 1 + max([0] + [eta(e) if te < 0 else -eta(e) for e, te in cells if te])
+    weights = zip(_cell_weights(theta.weights, s), _cell_weights(eta.weights, s))
+    scale = 1 + max([0] + [ee if te < 0 else -ee for te, ee in weights if te])
     theta_prime = scale * theta + eta
     verdict = is_generic_deformation(theta, theta_prime, d, max_box)
     if not verdict.passed:

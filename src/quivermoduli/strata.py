@@ -12,12 +12,16 @@ so the verdict is decided by the hypotheses; the per-type bounds are
 still computed and checked.
 
 Every bound is a function of the Gram matrix of the form on the parts of
-a type and of their multiplicities. One walk over the types reads the form
-from a shift covector per part and computes the local data once per
-distinct (Gram matrix, multiplicities) pair; the public per-type bounds
-compute it for their one type and run the same helpers. The bounds are
-computed doubled, in integers, and the half-integer ones are returned as
-Fractions.
+a type and of their multiplicities. One walk (_walk) lists the types for
+both luna_types and stratum_records. It packs each candidate part and each
+remainder into one int, a bit field per vertex with a guard bit above
+each, so that comparing, subtracting and finding the lead coordinate are
+integer operations. Along the way it extends each type's Gram key by one
+row per part, read from a table of the form on pairs of candidates. The
+records then compute the local data once per distinct key; the public
+per-type bounds compute it for their one type and run the same helpers.
+The bounds are computed doubled, in integers, and the half-integer ones
+are returned as Fractions.
 """
 
 from __future__ import annotations
@@ -25,13 +29,14 @@ from __future__ import annotations
 import operator
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache
+from itertools import islice
 
 from .core import (
     DEFAULT_MAX_BOX,
     DimVector,
     Quiver,
     Stability,
+    _cell_weights,
     _Record,
     check_box,
     normalize_stability,
@@ -138,24 +143,35 @@ def _type_count(d: tuple[int, ...], parts: list[tuple[int, ...]], limit: int) ->
     return count[-1]
 
 
-def luna_types(
-    q: Quiver, d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
-) -> list[LunaType]:
-    """All decomposition types of d with every part of the same slope as d.
+def _walk(q: Quiver, d: DimVector, theta: Stability, max_box: int) -> tuple[list, list, list]:
+    """The one walk over the decomposition types of d, for luna_types and
+    stratum_records: the candidate parts, one (type, key node, candidate
+    indices) triple per type, and the links of the key trie.
 
-    Enumerates multisets {(d^k, m_k)} with sum m_k d^k = d and normalized
-    weight zero on every part. This is a conservative superset of the
-    types of actually existing polystables: no nonemptiness filtering
-    happens here. The trivial type ((d, 1)) comes first.
+    The candidates are the nonzero e <= d of normalized weight zero, in
+    descending lexicographic order. Each candidate and each remainder is
+    one packed int: a bit field per vertex, wide enough for d_i, vertex 0
+    in the top field, and a guard bit G above each. Descending
+    lexicographic order is then descending integer order, so the parts
+    that can cover a remainder r are the candidates p <= r (a bisection)
+    with r's lead coordinate, read from r.bit_length(); p <= r
+    componentwise iff ((r | G) - p) & G == G, and r - m p subtracts field
+    by field. A frame loops over those candidates past the last part chosen
+    and recurses only on a chosen part, so the depth is at most the number
+    of parts.
 
-    The walk takes the candidates in descending lexicographic order and
-    emits types in lexicographic order of their (candidate, -multiplicity)
-    sequences. A frame loops only over the candidates that can cover the
-    remainder's first nonzero coordinate and recurses only on a chosen
-    part, so the depth is at most the number of parts. More than
-    MAX_LUNA_CANDIDATES candidates, and then more than MAX_LUNA_TYPES
-    types (counted before the walk), raise PreconditionError. The oracle
-    is the DimVector walk in tests/strata_oracle.py.
+    A type's Gram key is the sequence of its parts' rows: for part p,
+    (form(p, p_j), form(p_j, p)) for each part p_j before it, form(p, p)
+    and p's multiplicity. The form of two candidates comes from a table
+    of the call, filled on first use from shift covectors: form(p, r) =
+    p . s(r), s(r)_i = r_i - arrows[i] . r. Each frame extends its key by
+    one row, as a trie node whose link (parent node, pairs, form(p, p),
+    multiplicity) is hashed once; node 0 is the empty key. Two types share
+    a node exactly when their Gram matrices and multiplicities are equal.
+
+    More than MAX_LUNA_CANDIDATES candidates, and then more than
+    MAX_LUNA_TYPES types (counted before the walk), raise
+    PreconditionError.
     """
     q._check(d)
     if d.is_zero:
@@ -163,8 +179,8 @@ def luna_types(
     tnorm = normalize_stability(theta, d)
     check_box(d, max_box)
     # a DimVector is built only for a candidate, not for every cell of the box
-    weights = tnorm.weights
-    coords = [c for c in sub_box(d.coords) if any(c) and sum(map(operator.mul, weights, c)) == 0]
+    cells = zip(sub_box(d.coords), _cell_weights(tnorm.weights, d.coords))
+    coords = [c for c, w in islice(cells, 1, None) if w == 0]
     if len(coords) > MAX_LUNA_CANDIDATES:
         raise PreconditionError(
             f"{len(coords)} candidate parts for decomposition types, "
@@ -176,31 +192,94 @@ def luna_types(
             f"at least {count} decomposition types, more than the {MAX_LUNA_TYPES} allowed"
         )
     coords.reverse()
+    n = len(d)
+    # the fields from the bottom one (the last vertex) up; lead[b] is the
+    # vertex whose field holds bit b - 1, the top bit of an int of bit length b
+    offsets, lead, guard = [0] * n, [None], 0
+    for i in reversed(range(n)):
+        width = d[i].bit_length()
+        offsets[i] = len(lead) - 1
+        lead += [i] * width + [None]
+        guard |= 1 << (len(lead) - 2)
+    packed = [sum(map(operator.lshift, c, offsets)) for c in coords]
+    below = [-p for p in packed]  # ascending, for bisect
+    # the candidates of lead vertex i end at stop[i]
+    leads = [lead[p.bit_length()] for p in packed]
+    stop = [bisect_right(leads, i) for i in range(n)]
+    arrows = q.arrows
+    shifts = [
+        tuple(ci - sum(map(operator.mul, row, c)) for ci, row in zip(c, arrows)) for c in coords
+    ]
+    selfs = [sum(map(operator.mul, c, s)) for c, s in zip(coords, shifts)]
+    # forms[i][j], j < i: (form(p_i, p_j), form(p_j, p_i)), filled on first use
+    forms: list[list | None] = [None] * len(coords)
     candidates = list(map(DimVector, coords))
-    # the parts whose first nonzero coordinate is i form the block begin[i]:stop[i]
-    leads = [next(i for i, c in enumerate(p) if c) for p in coords]
-    begin = [bisect_left(leads, i) for i in range(len(d))]
-    stop = [bisect_right(leads, i) for i in range(len(d))]
-    out: list[LunaType] = []
+    pairs: dict[int, tuple[DimVector, int]] = {}  # one (part, multiplicity) object each
+    span = max(d.coords) + 1
+    links: list[tuple | None] = [None]
+    nodes: dict[tuple, int] = {}
+    out: list[tuple[LunaType, int, tuple[int, ...]]] = []
 
-    def extend(start: int, remaining: tuple[int, ...], chosen: tuple) -> None:
-        # the next part covers the remainder's first nonzero coordinate
-        lead = next(i for i, r in enumerate(remaining) if r)
-        for idx in range(max(start, begin[lead]), stop[lead]):
-            part = coords[idx]
-            if all(map(operator.le, part, remaining)):
-                top = min(r // p for r, p in zip(remaining, part) if p)
-                for mult in range(top, 0, -1):
-                    rest = tuple(r - mult * p for r, p in zip(remaining, part))
-                    parts = chosen + ((candidates[idx], mult),)
-                    if any(rest):
-                        extend(idx + 1, rest, parts)
-                    else:
-                        # distinct candidates in descending order: canonical already
-                        out.append(LunaType._canonical(parts))
+    def extend(start: int, r: int, parts: tuple, chosen: tuple, node: int) -> None:
+        top = r | guard
+        for idx in range(max(start, bisect_left(below, -r)), stop[lead[r.bit_length()]]):
+            p = packed[idx]
+            # (r - m p) | guard for m = 1, 2, ... while no guard bit is borrowed
+            rest = top - p
+            if rest & guard != guard:
+                continue
+            rests = []
+            while rest & guard == guard:
+                rests.append(rest ^ guard)
+                rest -= p
+            table = forms[idx]
+            if table is None:
+                table = forms[idx] = [None] * idx
+            row = tuple(map(table.__getitem__, chosen))
+            if None in row:
+                c, s = coords[idx], shifts[idx]
+                for j in chosen:
+                    if table[j] is None:
+                        table[j] = (
+                            sum(map(operator.mul, c, shifts[j])),
+                            sum(map(operator.mul, coords[j], s)),
+                        )
+                row = tuple(map(table.__getitem__, chosen))
+            now = chosen + (idx,)
+            for mult in range(len(rests), 0, -1):
+                key = idx * span + mult
+                pair = pairs.get(key) or pairs.setdefault(key, (candidates[idx], mult))
+                link = (node, row, selfs[idx], mult)
+                child = nodes.setdefault(link, len(links))
+                if child == len(links):
+                    links.append(link)
+                rest = rests[mult - 1]
+                if rest:
+                    extend(idx + 1, rest, parts + (pair,), now, child)
+                else:
+                    # distinct candidates in descending order: canonical already
+                    out.append((LunaType._canonical(parts + (pair,)), child, now))
 
-    extend(0, d.coords, ())
-    return out
+    extend(0, sum(map(operator.lshift, d.coords, offsets)), (), (), 0)
+    return candidates, out, links
+
+
+def luna_types(
+    q: Quiver, d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
+) -> list[LunaType]:
+    """All decomposition types of d with every part of the same slope as d.
+
+    Enumerates multisets {(d^k, m_k)} with sum m_k d^k = d and normalized
+    weight zero on every part. This is a conservative superset of the
+    types of actually existing polystables: no nonemptiness filtering
+    happens here. The trivial type ((d, 1)) comes first.
+
+    The types are those of the packed-integer walk that stratum_records
+    reads too (see _walk), in lexicographic order of their (candidate,
+    -multiplicity) sequences; the recursion depth is at most the number
+    of parts. The oracle is the DimVector walk in tests/strata_oracle.py.
+    """
+    return [xi for xi, _, _ in _walk(q, d, theta, max_box)[1]]
 
 
 def _gram(q: Quiver, xi: LunaType) -> list[list[int]]:
@@ -336,19 +415,31 @@ class StratumRecord(_Record):
     margin: Fraction | None
 
 
-def _local_data(dd: int, gram, mults: tuple[int, ...]) -> tuple:
-    """(codim, first part of negative expected dimension, reason, local quiver,
-    local dimension vector, fibre bound, margin): what the types of one key share."""
+def _local_data(dd: int, links: list, node: int) -> tuple:
+    """(codim, first part of negative expected dimension, its dimension, reason,
+    local quiver, local dimension vector, fibre bound, margin): what the types
+    of one key node of _walk share."""
+    gram: list[list[int]] = []
+    mults: list[int] = []
+    path = []
+    while node:
+        node, row, diag, mult = links[node]
+        path.append((row, diag, mult))
+    for row, diag, mult in reversed(path):
+        for line, (_, old_new) in zip(gram, row):
+            line.append(old_new)
+        gram.append([new_old for new_old, _ in row] + [diag])
+        mults.append(mult)
     codim = _codim_bound(dd, gram)
     bad = next((k for k, row in enumerate(gram) if row[k] > 1), None)
     lq = ld = fiber = margin = reason = None
     if bad is None:
         try:  # a negative arrow count or a non-symmetric local quiver
-            lq, ld = _local_quiver(gram, mults)
+            lq, ld = _local_quiver(gram, tuple(mults))
             fiber, margin = (Fraction(x, 2) for x in _fiber_and_margin(dd, gram, codim, lq, ld))
         except PreconditionError as exc:
             reason = str(exc)
-    return codim, bad, reason, lq, ld, fiber, margin
+    return codim, bad, None if bad is None else 1 - gram[bad][bad], reason, lq, ld, fiber, margin
 
 
 def stratum_records(
@@ -367,35 +458,29 @@ def stratum_records(
     Every other type gets its local quiver, fibre bound and margin. No
     hypothesis of certify_smallness is checked here.
 
-    Each part r gets one shift covector s(r)_i = r_i - arrows[i] . r, so
-    the form is the dot product chi(p, r) = p . s(r). The local data
-    depends only on the Gram matrix of the parts and their multiplicities,
-    so it is computed once per distinct pair and shared by every record
-    with that pair: each distinct local quiver is built, tested for
-    symmetry, and cross-checked once, its fibre bound against the nullcone
-    bound of the local quiver and its margin against fibre - codim / 2.
+    The types and their Gram keys come from the walk of luna_types (see
+    _walk). The local data depends only on the key, so it is computed once
+    per distinct key and its objects are shared by every record with that
+    key: each distinct local quiver is built, tested for symmetry, and
+    cross-checked once, its fibre bound against the nullcone bound of the
+    local quiver and its margin against fibre - codim / 2.
     """
-    types = luna_types(q, d, theta, max_box)
+    candidates, types, links = _walk(q, d, theta, max_box)
     dd = q.euler_form(d, d)
-    shift = cache(lambda r: tuple(c - sum(map(operator.mul, row, r)) for c, row in zip(r, q.arrows)))
-    chi = cache(lambda p, r: sum(map(operator.mul, p, shift(r))))
-    weight = cache(lambda r: theta_prime(DimVector(r)))
-    shared: dict[tuple, tuple] = {}
+    weights = list(map(theta_prime, candidates))
+    shared: list[tuple | None] = [None] * len(links)
     records = []
-    for xi in types:
-        coords = tuple(p.coords for p, _ in xi.parts)
-        gram = tuple(tuple(map(chi, (p,) * len(coords), coords)) for p in coords)
-        key = gram, _mults(xi)
-        data = shared.get(key)
+    for xi, node, chosen in types:
+        data = shared[node]
         if data is None:
-            data = shared[key] = _local_data(dd, *key)
-        codim, bad, reason, lq, ld, fiber, margin = data
+            data = shared[node] = _local_data(dd, links, node)
+        codim, bad, bad_dim, reason, lq, ld, fiber, margin = data
         if bad is not None:
             reason = (
                 f"part {xi.parts[bad][0]} has negative expected stable moduli dimension "
-                f"({1 - gram[bad][bad]})"
+                f"({bad_dim})"
             )
-        ls = None if lq is None else Stability(tuple(map(weight, coords)))
+        ls = None if lq is None else Stability(tuple(map(weights.__getitem__, chosen)))
         records.append(
             StratumRecord(xi, reason is not None, reason, lq, ld, ls, fiber, codim, margin)
         )

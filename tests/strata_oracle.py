@@ -2,14 +2,15 @@
 
 ``luna_types_by_dimvectors`` is the decomposition-type walk in
 DimVector arithmetic: it compares parts with ``DimVector.leq``, subtracts
-DimVectors and builds a LunaType for every type. The package walks the
-same recursion over coordinate tuples and builds objects only for the
-types it emits, so the two must agree in value and in order.
+DimVectors, recurses once per candidate and builds a LunaType for every
+type. The package walks the candidates as packed integers, recursing once
+per part, so the two must agree in value and in order.
 
 ``stratum_records_per_call`` walks the same luna_types and fills each
 StratumRecord field straight from its formula, calling ``q.euler_form``
 afresh for every value, with no table shared between types. The package
-reads the form from one table per walk instead.
+builds each type's Gram key along its walk from one table of the form per
+call, and computes the local data once per key instead.
 """
 
 from __future__ import annotations

@@ -553,6 +553,8 @@ class TestRowWriter:
             "levi_adjoint:5",
             "determinantal:3,2",
             "points:4,2",
+            # multiplicities up to 4, so the walk repeats a part
+            "levi_adjoint:4,3,3",
         ],
     )
     def test_catalog_rows(self, spec):

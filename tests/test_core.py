@@ -5,6 +5,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from rank_oracle import rational_rank
+
+import quivermoduli.core as core_module
 
 from quivermoduli import (
     BoxGuardExceeded,
@@ -31,7 +36,7 @@ from quivermoduli import (
     slope,
     symmetric_on_kernel,
 )
-from quivermoduli.core import check_box, sub_box
+from quivermoduli.core import _integer_rank, _weight_blocks, check_box, sub_box
 from quivermoduli.strata import SmallnessReport, StratumRecord
 
 
@@ -165,6 +170,32 @@ class TestSkewRank:
             assert r % 2 == 0
             assert r <= n
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda n: st.lists(st.integers(-9, 9), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+        .map(lambda upper: (n, upper))
+    ))
+    def test_random_skew_matrices_match_fraction_elimination(self, problem):
+        # the quiver with arrows[i][j] = max(0, -S[i][j]) has skew matrix S
+        n, upper = problem
+        skew = [[0] * n for _ in range(n)]
+        entries = iter(upper)
+        for i in range(n):
+            for j in range(i + 1, n):
+                skew[i][j] = next(entries)
+                skew[j][i] = -skew[i][j]
+        q = Quiver.from_matrix([[max(0, -x) for x in row] for row in skew])
+        assert q.skew_matrix() == tuple(map(tuple, skew))
+        assert skew_rank(q) == rational_rank(skew)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda cols: st.lists(st.lists(st.integers(-5, 5), min_size=cols, max_size=cols), max_size=6)
+    ))
+    def test_integer_rank_matches_fraction_elimination(self, rows):
+        # rectangular and rank-deficient matrices too: skipped columns keep the division exact
+        assert _integer_rank(rows) == rational_rank(rows)
+
 
 class TestSlope:
     def test_balanced(self):
@@ -215,6 +246,22 @@ class TestBox:
     @pytest.mark.parametrize("s", [(0,), (2, 0, 1), (1, 1, 1, 1)])
     def test_sub_box_is_the_box_walk(self, s):
         assert list(sub_box(s)) == [e.coords for e in box_iter(DimVector(s))]
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 5), st.integers(-7, 7)), min_size=1, max_size=5),
+        st.sampled_from([1, 2, 3, 7, 4096]),
+    )
+    def test_weight_blocks_are_the_box_weights(self, columns, block):
+        s, weights = tuple(c for c, _ in columns), tuple(w for _, w in columns)
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(core_module, "_BLOCK_CELLS", block)
+            blocks = list(_weight_blocks(weights, s))
+        assert [w for b in blocks for w in b] == [
+            sum(a * b for a, b in zip(weights, t)) for t in sub_box(s)
+        ]
+        # an inner box of at most block cells, or the last coordinate alone
+        assert max(map(len, blocks)) <= max(block, s[-1] + 1)
 
 
 def symmetric_by_kernel_basis(q, theta):

@@ -2,7 +2,11 @@ import random
 from math import gcd
 
 import pytest
-from deform_oracle import search_eta_by_enumeration
+from deform_oracle import (
+    deformation_by_cells,
+    deformation_violations_by_cells,
+    search_eta_by_enumeration,
+)
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +22,7 @@ from quivermoduli import (
     is_indivisible,
     normalize_stability,
 )
+import quivermoduli.core as core_module
 from quivermoduli.deform import _search_eta
 
 
@@ -75,6 +80,49 @@ class TestIsGenericDeformation:
             theta_prime = Stability((rng.randrange(-4, 5), rng.randrange(-4, 5)))
             if is_generic_deformation(theta, theta_prime, d).passed:
                 assert is_indivisible(d)
+
+
+@st.composite
+def box_problems(draw):
+    """(d, theta normalized on d, theta'): 1-4 coordinates up to 4, at most
+    120 cells, weights in [-4, 4]."""
+    n = draw(st.integers(1, 4))
+    coords, cells = [], 1
+    for _ in range(n):
+        c = draw(st.integers(0, min(4, 120 // cells - 1)))
+        coords.append(c)
+        cells *= c + 1
+    assume(any(coords))
+    d = DimVector(tuple(coords))
+    theta = normalize_stability(Stability(draw(st.tuples(*[st.integers(-4, 4)] * n))), d)
+    return d, theta, Stability(draw(st.tuples(*[st.integers(-4, 4)] * n)))
+
+
+class TestIntegerBoxScans:
+    """The scans read integer weight lists in blocks; the oracles build a DimVector per cell."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(box_problems(), st.sampled_from([1, 2, 3, 5, 4096]))
+    def test_violations_match_the_cell_walk(self, problem, block):
+        d, theta, theta_prime = problem
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(core_module, "_BLOCK_CELLS", block)
+            verdict = is_generic_deformation(theta, theta_prime, d)
+            coprime = is_coprime(theta_prime, d)
+        expected = deformation_violations_by_cells(theta, theta_prime, d)
+        assert verdict.violations == tuple(expected)
+        assert verdict.passed == (not expected)
+        assert coprime == all(theta_prime(e) != theta_prime(d) for e in box_iter(d) if 0 < e.total < d.total)
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(box_problems(), st.sampled_from([1, 3, 4096]))
+    def test_deformation_matches_the_cell_walk(self, problem, block):
+        d, theta, _ = problem
+        assume(len(d) >= 2 and is_indivisible(d))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(core_module, "_BLOCK_CELLS", block)
+            theta_prime = generic_deformation(theta, d)
+        assert theta_prime == deformation_by_cells(theta, d)
 
 
 class TestGenericDeformation:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hn_oracle import hn_problems
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from strata_oracle import luna_types_by_dimvectors, stratum_records_per_call
 
@@ -136,6 +136,69 @@ class TestLunaTypes:
     def test_matches_dimvector_walk(self, problem):
         q, d, theta = problem
         assert luna_types(q, d, theta) == luna_types_by_dimvectors(q, d, theta)
+
+    def test_refusals_in_order(self, monkeypatch):
+        # zero d, then the candidate guard, then the type budget
+        q, theta = complete_with_loops(3), Stability((0, 0, 0))
+        for walk in (luna_types, lambda *args: stratum_records(*args, theta)):
+            with pytest.raises(ValueError, match="zero dimension vector"):
+                walk(q, DimVector((0, 0, 0)), theta)
+            # (1, 1, 2) has 11 candidate parts and 11 types
+            d = DimVector((1, 1, 2))
+            assert len(walk(q, d, theta)) == 11
+            monkeypatch.setattr(strata_module, "MAX_LUNA_TYPES", 10)
+            with pytest.raises(PreconditionError, match="types, more than the 10 allowed"):
+                walk(q, d, theta)
+            monkeypatch.setattr(strata_module, "MAX_LUNA_CANDIDATES", 10)
+            with pytest.raises(PreconditionError, match="11 candidate parts"):
+                walk(q, d, theta)
+            monkeypatch.undo()
+
+
+@st.composite
+def wide_problems(draw, max_cells: int = 160):
+    """(quiver, d, theta, theta'): 1-5 vertices, coordinates up to 9 (fields of
+    1-4 bits), at most max_cells cells, arrow counts 0-3, weights in [-3, 3]
+    with theta = 0 included, and at most 3,000 types."""
+    n = draw(st.integers(1, 5))
+    coords, cells = [], 1
+    for _ in range(n):
+        c = draw(st.integers(0, min(9, max_cells // cells - 1)))
+        coords.append(c)
+        cells *= c + 1
+    assume(any(coords))
+    d = DimVector(tuple(coords))
+    q = Quiver.from_matrix([[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)])
+    theta = Stability(draw(st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-3, 3)] * n))))
+    assume(strata_module._type_count(d.coords, _candidates(d, theta), 3000) <= 3000)
+    theta_prime = Stability(draw(st.tuples(*[st.integers(-3, 3)] * n)))
+    return q, d, theta, theta_prime
+
+
+class TestPackedWalk:
+    """The packed-integer walk on boxes wider than hn_problems draws."""
+
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    @given(wide_problems())
+    def test_matches_the_oracles(self, problem):
+        q, d, theta, theta_prime = problem
+        types = luna_types(q, d, theta)
+        assert types == luna_types_by_dimvectors(q, d, theta)
+        records = stratum_records(q, d, theta, theta_prime)
+        assert [rec.luna_type for rec in records] == types
+        assert records == stratum_records_per_call(q, d, theta, theta_prime)
+
+    @pytest.mark.parametrize("c", [1, 2, 3, 4, 7, 8, 9])
+    def test_field_widths(self, c):
+        # one vertex with no loop: the types of (c) are the partitions of c,
+        # each part a multiple of the unit vector
+        types = luna_types(Quiver.from_matrix([[0]]), DimVector((c,)), Stability((0,)))
+        partitions = [[c]]
+        for xi in types[1:]:
+            partitions.append([p[0] for p, m in xi.parts for _ in range(m)])
+        assert len(types) == [1, 2, 3, 5, 15, 22, 30][[1, 2, 3, 4, 7, 8, 9].index(c)]
+        assert all(sum(parts) == c for parts in partitions)
+        assert partitions == sorted(partitions, reverse=True)
 
 
 class TestLocalQuiver:
