@@ -1,12 +1,14 @@
 """Exact arithmetic in the variable v with v^2 = q.
 
-Two layers, both over fractions.Fraction and therefore exact:
+Two layers over fractions.Fraction on an integer layer, all exact:
 
 * ``HalfLaurent``: sparse Laurent polynomials in v. Working in v instead
   of q avoids fractional exponents; a power of q is an even power of v.
 * ``RatFunc``: rational functions in v kept in a canonical form
   (v^shift * num / den with num, den of valuation zero, coprime, den
   monic), so structural equality coincides with field equality.
+* integer polynomials, dense coefficient lists: the gcd and exact division
+  by which ``RatFunc._from_integers`` canonicalizes {v-power: int} ratios.
 
 The module imports nothing from the package. The box-truncated series
 built on ``RatFunc`` live in ``series``.
@@ -199,9 +201,6 @@ class HalfLaurent:
             raise ValueError("not a polynomial in q")
         return {p // 2: c for p, c in self.coeffs.items()}
 
-    def has_integer_coefficients(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs.values())
-
     def pretty(self) -> str:
         if not self.coeffs:
             return "0"
@@ -250,13 +249,14 @@ def _as_laurent(x):
 # integer polynomials: dense coefficient lists, constant term first
 
 
-def _dense_integer(l: HalfLaurent, scale: int) -> list[int]:
-    """Coefficients of scale * l / v^valuation; scale must clear every denominator."""
-    low = l.valuation()
-    out = [0] * (l.degree() - low + 1)
-    for p, c in l.coeffs.items():
-        out[p - low] = c.numerator * (scale // c.denominator)
-    return out
+def _dense(l: Mapping[int, int]) -> tuple[int, list[int]]:
+    """(valuation, coefficients of l / v^valuation) of {v-power: int}; zeros may be given."""
+    powers = [p for p, c in l.items() if c]
+    low = min(powers, default=0)
+    out = [0] * (max(powers, default=low - 1) - low + 1)
+    for p in powers:
+        out[p - low] = l[p]
+    return low, out
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -294,17 +294,20 @@ def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
     return [1]
 
 
-def _exact_quotient(a: list[int], g: list[int]) -> list[int]:
-    """a / g, where g is primitive and divides a, so the quotient is integral."""
+def _exact_quotient(a: list[int], g: list[int]) -> list[int] | None:
+    """a / g with integer coefficients, or None if the long division leaves a remainder."""
     a = list(a)
     dg, lg = len(g) - 1, g[-1]
     quot = [0] * (len(a) - dg)
     for k in range(len(quot) - 1, -1, -1):
-        c = quot[k] = a[k + dg] // lg
+        c, r = divmod(a[k + dg], lg)
+        if r:
+            return None
         if c:
+            quot[k] = c
             for i in range(dg):
                 a[k + i] -= c * g[i]
-    return quot
+    return None if any(a[:dg]) else quot
 
 
 # ---------------------------------------------------------------------------
@@ -330,18 +333,22 @@ class RatFunc:
 
     @classmethod
     def from_ratio(cls, num: HalfLaurent, den: HalfLaurent) -> "RatFunc":
-        """num / den for arbitrary Laurent polynomials, canonicalized.
-
-        Fraction-free: num and den are scaled by one integer, their gcd is
-        taken and divided out in integers, and one rational scaling at the
-        end makes den monic.
-        """
-        if den.is_zero:
-            raise ZeroDivisionError("rational function with zero denominator")
-        if num.is_zero:
-            return cls(HalfLaurent.zero(), HalfLaurent.one(), 0)
+        """num / den for arbitrary Laurent polynomials, canonicalized, scaled to integers first."""
         scale = math.lcm(*(c.denominator for c in (*num.coeffs.values(), *den.coeffs.values())))
-        a, b = _dense_integer(num, scale), _dense_integer(den, scale)
+        a, b = (
+            {p: c.numerator * (scale // c.denominator) for p, c in l.coeffs.items()} for l in (num, den)
+        )
+        return cls._from_integers(a, b)
+
+    @classmethod
+    def _from_integers(cls, num: Mapping[int, int], den: Mapping[int, int]) -> "RatFunc":
+        """num / den for integer Laurent polynomials {v-power: int}, canonicalized: the
+        gcd is divided out in integers, and one rational scaling makes den monic."""
+        (low_a, a), (low_b, b) = _dense(num), _dense(den)
+        if not b:
+            raise ZeroDivisionError("rational function with zero denominator")
+        if not a:
+            return cls.zero()
         g = _prs_gcd(a, b)
         if len(g) > 1:
             a, b = _exact_quotient(a, g), _exact_quotient(b, g)
@@ -349,7 +356,7 @@ class RatFunc:
         return cls(
             HalfLaurent({p: Fraction(c, lc) for p, c in enumerate(a) if c}),
             HalfLaurent({p: Fraction(c, lc) for p, c in enumerate(b) if c}),
-            num.valuation() - den.valuation(),
+            low_a - low_b,
         )
 
     @classmethod

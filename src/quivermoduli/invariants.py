@@ -7,9 +7,9 @@ logarithm, and the two independent routes to the intersection-cohomology
 Poincare polynomial. Both p and the DT invariants run in integer Laurent
 polynomials in v, Gaussian-normalized: the coefficient at e is kept
 multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). No gcd is
-taken on the way, and every result (p, the Betti polynomial, each DT
-invariant) is canonicalized exactly once, by one RatFunc.from_ratio; the
-sign twist of the DT route keeps the canonical form. Both recursions run
+taken on the way. p and each DT invariant are canonicalized once, by one
+gcd in RatFunc._from_integers; the Betti polynomial and the sign-twisted DT
+invariant are polynomials, one exact division each. Both recursions run
 over orbits: vertices that a swap leaves interchangeable give equal values
 on every cell of an orbit, so one canonical cell per orbit is computed, and
 a step stands for a whole orbit of pairs. The routes are
@@ -44,7 +44,7 @@ from .core import (
 )
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, PreconditionError
-from .halfq import HalfLaurent, RatFunc, _mobius, _mul, _mul_add
+from .halfq import HalfLaurent, RatFunc, _dense, _exact_quotient, _mobius, _mul, _mul_add
 
 
 def _binomials(top: int) -> Callable[[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
@@ -212,11 +212,6 @@ def _factorial(e: Iterable[int], m: int = 0) -> dict[int, int]:
     return out
 
 
-def _p_value(numerator: dict[int, int], e: DimVector) -> RatFunc:
-    """p_e = -G(e) / [e]!, canonicalized once."""
-    return RatFunc.from_ratio(-HalfLaurent(numerator), HalfLaurent(_factorial(e)))
-
-
 def p_poly(
     q: Quiver, d: DimVector, theta: Stability, max_box: int = DEFAULT_MAX_BOX
 ) -> RatFunc:
@@ -249,18 +244,19 @@ def p_poly(
     and (k + 1)(k + 2) / 2 instead of 3^k on k interchangeable vertices of
     dimension 1.
     """
-    return _p_value(_hn_numerators(q, d, theta, max_box)[0][d], d)
+    return -RatFunc._from_integers(_hn_numerators(q, d, theta, max_box)[0][d], _factorial(d))
 
 
-def _require_q_polynomial(value: RatFunc, what: str) -> HalfLaurent:
-    if not value.is_laurent:
-        raise InternalCheckError(f"{what} has a nontrivial denominator: {value.pretty()}")
-    lau = value.as_laurent()
-    if not lau.is_q_polynomial():
-        raise InternalCheckError(f"{what} is not a polynomial in q: {lau.pretty()}")
-    if not lau.has_integer_coefficients():
-        raise InternalCheckError(f"{what} has non-integer coefficients: {lau.pretty()}")
-    return lau
+def _q_polynomial(num: dict[int, int], den: dict[int, int], what: str) -> HalfLaurent:
+    """num / den by one exact division in integers; it must be a polynomial in q."""
+    (low_a, a), (low_b, b) = _dense(num), _dense(den)
+    quot = _exact_quotient(a, b)
+    if quot is None:
+        raise InternalCheckError(f"{what} is not a Laurent polynomial with integer coefficients")
+    value = HalfLaurent({p + low_a - low_b: c for p, c in enumerate(quot)})
+    if not value.is_q_polynomial():
+        raise InternalCheckError(f"{what} is not a polynomial in q: {value.pretty()}")
+    return value
 
 
 def betti_coprime(
@@ -275,10 +271,9 @@ def betti_coprime(
     tnorm = normalize_stability(theta, d)
     if not is_coprime(tnorm, d, max_box):
         raise PreconditionError("stability not coprime for d")
-    # (q - 1) p = (v^2 - 1) (-G(d)) / [d]!, canonicalized once
+    # (q - 1) p = (v^2 - 1) (-G(d)) / [d]!, one exact division
     g = _hn_numerators(q, d, theta, max_box)[0][d]
-    value = RatFunc.from_ratio(HalfLaurent(_mul({2: -1, 0: 1}, g)), HalfLaurent(_factorial(d)))
-    return _require_q_polynomial(value, "(q - 1) * p")
+    return _q_polynomial(_mul({2: -1, 0: 1}, g), _factorial(d), "(q - 1) * p")
 
 
 def dt_invariants(
@@ -308,12 +303,12 @@ def dt_invariants(
         |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(v -> v^m),
 
     and the last factor is _factorial(e, m). No gcd is taken until the end:
-    each invariant is canonicalized once, by one RatFunc.from_ratio with
+    each invariant is canonicalized once, by one RatFunc._from_integers with
     denominator |e| [e]!, at the canonical e of its orbit; every e of the
     orbit shares that one value.
     """
     logs, canon = _dt_logs(q, theta, d, max_box)
-    values = {s: _dt_value(s, logs) for s in logs}
+    values = {s: RatFunc._from_integers(*_dt_value(s, logs)) for s in logs}
     return {DimVector(t): values[c] for t in sub_box(d.coords) if (c := canon(t)) in values}
 
 
@@ -343,9 +338,9 @@ def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> tuple[d
     return logs, canon
 
 
-def _dt_value(s: tuple[int, ...], logs: dict) -> RatFunc:
+def _dt_value(s: tuple[int, ...], logs: dict) -> tuple[dict[int, int], dict[int, int]]:
     """DT_e at the canonical e = s of dt_invariants from the M of _dt_logs,
-    canonicalized once."""
+    as (num, den), integer Laurent polynomials."""
     acc: dict[int, int] = {}  # |e| [e]! (Log S)_e
     for m in range(1, max(s) + 1):
         mu = _mobius(m)
@@ -355,7 +350,7 @@ def _dt_value(s: tuple[int, ...], logs: dict) -> RatFunc:
         _mul_add(acc, term, _factorial(s, m), sign=mu)
     den = {p: sum(s) * c for p, c in _factorial(s).items()}
     # DT_e = (v^-1 - v) (Log S)_e, the factor applied in integers
-    return RatFunc.from_ratio(HalfLaurent(_mul({-1: 1, 1: -1}, acc)), HalfLaurent(den))
+    return _mul({-1: 1, 1: -1}, acc), den
 
 
 def ic_poincare_dt(
@@ -367,20 +362,17 @@ def ic_poincare_dt(
     in q with integer coefficients. Requires the form to be symmetric on
     the kernel of the normalized stability; nonemptiness of the moduli
     space is assumed, not checked. Of the invariants of dt_invariants,
-    only DT_d is finished and canonicalized.
+    only DT_d is finished, by one exact division.
     """
     tnorm = normalize_stability(theta, d)
     if not symmetric_on_kernel(q, tnorm):
         raise PreconditionError(
             "form is not symmetric on the kernel of the stability"
         )
-    dt_d = _dt_value(d.coords, _dt_logs(q, theta, d, max_box)[0])
+    num, den = _dt_value(d.coords, _dt_logs(q, theta, d, max_box)[0])
     k = 1 - q.euler_form(d, d)
-    # (-v)^k times a canonical value: a sign on num and k added to the shift
-    # keep it canonical, so no second canonicalization is needed
-    if not dt_d.is_zero:
-        dt_d = RatFunc(-dt_d.num if k % 2 else dt_d.num, dt_d.den, dt_d.shift + k)
-    return _require_q_polynomial(dt_d, "sign-twisted DT invariant")
+    twisted = {p + k: -c if k % 2 else c for p, c in num.items()}  # (-v)^k num
+    return _q_polynomial(twisted, den, "sign-twisted DT invariant")
 
 
 def ic_poincare_resolution(

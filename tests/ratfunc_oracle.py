@@ -1,17 +1,31 @@
-"""Test oracle for RatFunc.from_ratio: the Euclidean algorithm over the rationals.
+"""Test oracles for the canonical RatFunc and the polynomial-valued results.
 
 ``from_ratio_by_euclid`` shifts num and den to valuation zero, divides both
 by their monic gcd, found by Euclid with ``Fraction`` coefficients, and
 scales den to be monic. The canonical form (coprime, den monic, nonzero
 constant terms) is unique, so it must agree structurally with the package,
 which reaches the same form through a fraction-free integer gcd.
+
+``require_q_polynomial`` finishes a polynomial-valued result from its
+canonical value by three checks: no denominator, only even nonnegative
+powers of v, integer coefficients. The package reaches the same verdict and
+value by one exact division of integer polynomials, with no gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from quivermoduli import HalfLaurent, RatFunc
+from hypothesis import strategies as st
+
+from quivermoduli import HalfLaurent, InternalCheckError, RatFunc
+
+
+def integer_laurents(nonzero: bool = False):
+    """Integer Laurent polynomials {v-power: int} of either sign and any
+    valuation; zero coefficients are kept, so one may sit at either end."""
+    polys = st.dictionaries(st.integers(-4, 8), st.integers(-20, 20), max_size=6)
+    return polys.filter(lambda l: any(l.values())) if nonzero else polys
 
 
 def poly_divmod(a: HalfLaurent, b: HalfLaurent) -> tuple[HalfLaurent, HalfLaurent]:
@@ -57,3 +71,15 @@ def from_ratio_by_euclid(num: HalfLaurent, den: HalfLaurent) -> RatFunc:
     b, _ = poly_divmod(b, g)
     inv = Fraction(1) / b.leading_coefficient()
     return RatFunc(a * inv, b * inv, shift)
+
+
+def require_q_polynomial(value: RatFunc, what: str) -> HalfLaurent:
+    """value as a polynomial in q with integer coefficients, else InternalCheckError."""
+    if not value.is_laurent:
+        raise InternalCheckError(f"{what} has a nontrivial denominator: {value.pretty()}")
+    lau = value.as_laurent()
+    if not lau.is_q_polynomial():
+        raise InternalCheckError(f"{what} is not a polynomial in q: {lau.pretty()}")
+    if any(c.denominator != 1 for c in lau.coeffs.values()):
+        raise InternalCheckError(f"{what} has non-integer coefficients: {lau.pretty()}")
+    return lau

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from ratfunc_oracle import from_ratio_by_euclid, poly_gcd
+from ratfunc_oracle import from_ratio_by_euclid, integer_laurents, poly_gcd
 
 from quivermoduli import (
     DimVector,
@@ -17,6 +17,7 @@ from quivermoduli import (
     series_exp,
     series_log,
 )
+from quivermoduli.halfq import _mul
 
 BOX22 = DimVector((2, 2))
 ZERO22 = DimVector((0, 0))
@@ -206,6 +207,35 @@ class TestFromRatioOracle:
         assert got.num.coeffs == want.num.coeffs
         assert got.den.coeffs == want.den.coeffs
         assert got.shift == want.shift
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        integer_laurents(),
+        integer_laurents(nonzero=True),
+        integer_laurents(nonzero=True),
+        st.booleans(),
+    )
+    # zero coefficients at both ends of num, and den of negative valuation
+    @example({-3: 0, -1: 4, 2: -6, 5: 0}, {-2: 2, 0: 0, 1: 1}, {0: 1}, False)
+    # num = 0 given with zero coefficients
+    @example({1: 0, 3: 0}, {0: 3, 2: -1}, {-1: 2}, False)
+    # complete cancellation: den divides num, and the factor is shared
+    @example({0: 1, 2: 1}, {0: -1, 1: 1}, {-2: 3, 0: 0, 4: 1}, True)
+    def test_integer_constructor_matches_fraction_euclid(self, num, den, factor, multiple):
+        # the engine's constructor on integer {v-power: int} data, which may
+        # carry zero coefficients and a shared factor
+        if multiple:
+            num = _mul(num, den)
+        num, den = _mul(num, factor), _mul(den, factor)
+        got = RatFunc._from_integers(num, den)
+        want = from_ratio_by_euclid(HalfLaurent(num), HalfLaurent(den))
+        assert (got.num.coeffs, got.den.coeffs, got.shift) == (
+            want.num.coeffs,
+            want.den.coeffs,
+            want.shift,
+        )
+        if multiple:
+            assert got.is_laurent
 
 
 # rational points at which both sides of an identity are evaluated

@@ -11,9 +11,11 @@ from hn_oracle import (
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from ratfunc_oracle import require_q_polynomial
 
 from quivermoduli import (
     DimVector,
+    HalfLaurent,
     PreconditionError,
     Quiver,
     RatFunc,
@@ -30,10 +32,9 @@ from quivermoduli.core import DEFAULT_MAX_BOX, sub_box
 from quivermoduli.invariants import (
     _dt_logs,
     _dt_value,
+    _factorial,
     _hn_numerators,
     _orbits,
-    _p_value,
-    _require_q_polynomial,
 )
 
 
@@ -143,18 +144,21 @@ class TestOrbitCompression:
         for e, m in logs_by_cells.items():
             assert logs[canon(e)] == m
 
-        p = _p_value(by_cells[d], d)
+        p = RatFunc.from_ratio(-HalfLaurent(by_cells[d]), HalfLaurent(_factorial(d)))
         assert p_poly(q, d, theta) == p
         if is_coprime(tnorm, d):
-            betti = _require_q_polynomial((RatFunc.q_power(1) - 1) * p, "(q - 1) * p")
+            betti = require_q_polynomial((RatFunc.q_power(1) - 1) * p, "(q - 1) * p")
         else:
             betti = PreconditionError
         assert _outcome(betti_coprime, q, d, theta) == betti
-        dt = {DimVector(e): _dt_value(e, logs_by_cells) for e in logs_by_cells}
+        dt = {
+            DimVector(e): RatFunc.from_ratio(*map(HalfLaurent, _dt_value(e, logs_by_cells)))
+            for e in logs_by_cells
+        }
         assert list(dt_invariants(q, theta, d).items()) == list(dt.items())
         if symmetric_on_kernel(q, tnorm):
             k = 1 - q.euler_form(d, d)
-            ic = _require_q_polynomial(RatFunc.v_power(k) * (-1 if k % 2 else 1) * dt[d], "DT")
+            ic = require_q_polynomial(RatFunc.v_power(k) * (-1 if k % 2 else 1) * dt[d], "DT")
         else:
             ic = PreconditionError
         assert _outcome(ic_poincare_dt, q, d, theta) == ic

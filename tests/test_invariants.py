@@ -1,8 +1,12 @@
+from collections import Counter
+from math import gcd, prod
+
 import pytest
 from count_oracle import count_semistable_thin
 from hn_oracle import hn_problems, p_by_decompositions
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from ratfunc_oracle import from_ratio_by_euclid, integer_laurents, require_q_polynomial
 
 from quivermoduli import (
     DimVector,
@@ -19,13 +23,15 @@ from quivermoduli import (
     ic_poincare_dt,
     ic_poincare_resolution,
     is_coprime,
+    is_indivisible,
     moduli_dim,
     normalize_stability,
     p_poly,
     symmetric_on_kernel,
 )
-from quivermoduli.halfq import _mul
-from quivermoduli.invariants import _binomials, _factorial, _require_q_polynomial
+from quivermoduli import halfq
+from quivermoduli.halfq import _mul, _mul_add
+from quivermoduli.invariants import _binomials, _factorial, _q_polynomial
 
 
 def kronecker(m, n=0):
@@ -43,6 +49,9 @@ def single_vertex(loops=0):
 
 def complete_with_loops(l):
     return Quiver.from_matrix([[1] * l for _ in range(l)])
+
+
+Q_A = Quiver.from_matrix([[0, 2, 1], [1, 0, 3], [2, 1, 0]])
 
 
 def count_semistable_torus(l, q0):
@@ -379,7 +388,7 @@ def betti_by_field_arithmetic(q, d, theta):
     if not is_coprime(normalize_stability(theta, d), d):
         raise PreconditionError("stability not coprime for d")
     value = (RatFunc.q_power(1) - 1) * p_poly(q, d, theta)
-    return _require_q_polynomial(value, "(q - 1) * p")
+    return require_q_polynomial(value, "(q - 1) * p")
 
 
 def ic_dt_by_field_arithmetic(q, d, theta):
@@ -389,11 +398,14 @@ def ic_dt_by_field_arithmetic(q, d, theta):
     dt_d = dt_invariants(q, theta, d)[d]
     k = 1 - q.euler_form(d, d)
     value = RatFunc.v_power(k) * (1 if k % 2 == 0 else -1) * dt_d
-    return _require_q_polynomial(value, "sign-twisted DT invariant")
+    return require_q_polynomial(value, "sign-twisted DT invariant")
 
 
 class TestOneCanonicalization:
-    """betti_coprime and ic_poincare_dt canonicalize once; field arithmetic is the judge."""
+    """p_poly and each DT invariant are canonicalized once, by one gcd; betti_coprime
+    and ic_poincare_dt take no gcd, one exact division. Field arithmetic is the judge.
+
+    The call-count tests count RatFunc.from_ratio too, which none of these may call."""
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(hn_problems(), st.booleans())
@@ -413,41 +425,136 @@ class TestOneCanonicalization:
         )
 
     @staticmethod
-    def _count_from_ratio(monkeypatch):
-        calls = []
-        original = RatFunc.from_ratio.__func__
+    def _count(monkeypatch) -> Counter:
+        """Calls of RatFunc.from_ratio, RatFunc._from_integers and the gcd, from now on."""
+        calls = Counter()
 
-        def counted(cls, num, den):
-            calls.append(None)
-            return original(cls, num, den)
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
 
-        monkeypatch.setattr(RatFunc, "from_ratio", classmethod(counted))
+            return wrapper
+
+        monkeypatch.setattr(halfq, "_prs_gcd", counted("gcd", halfq._prs_gcd))
+        for name in ("from_ratio", "_from_integers"):
+            original = getattr(RatFunc, name).__func__
+            monkeypatch.setattr(RatFunc, name, classmethod(counted(name, original)))
         return calls
 
-    @pytest.mark.parametrize(
-        "q, d, theta",
-        [
-            (kronecker(1), DimVector((1, 1)), Stability((1, -1))),
-            (kronecker(4), DimVector((1, 1)), Stability((1, -1))),
-            (kronecker(3), DimVector((2, 3)), Stability((1, -1))),
-            (CYCLE3, DimVector((1, 1, 1)), Stability((2, -1, -1))),
-            (complete_with_loops(3), DimVector((1, 1, 1)), Stability((2, -1, -1))),
-        ],
-    )
+    BETTI_CASES = [
+        (kronecker(1), DimVector((1, 1)), Stability((1, -1))),
+        (kronecker(4), DimVector((1, 1)), Stability((1, -1))),
+        (kronecker(3), DimVector((2, 3)), Stability((1, -1))),
+        (CYCLE3, DimVector((1, 1, 1)), Stability((2, -1, -1))),
+        (complete_with_loops(3), DimVector((1, 1, 1)), Stability((2, -1, -1))),
+    ]
+
+    @pytest.mark.parametrize("q, d, theta", BETTI_CASES)
     def test_one_from_ratio_per_betti_polynomial(self, monkeypatch, q, d, theta):
-        calls = self._count_from_ratio(monkeypatch)
+        # no gcd and no canonicalization: one exact division
+        calls = self._count(monkeypatch)
         betti_coprime(q, d, theta)
-        assert len(calls) == 1
+        assert calls == Counter()
+
+    @pytest.mark.parametrize("q, d, theta", BETTI_CASES)
+    def test_p_poly_canonicalizes_once(self, monkeypatch, q, d, theta):
+        calls = self._count(monkeypatch)
+        p_poly(q, d, theta)
+        assert calls == Counter({"_from_integers": 1, "gcd": 1})
 
     @pytest.mark.parametrize("l", [2, 3])
     def test_one_from_ratio_per_dt_invariant(self, monkeypatch, l):
         # all l vertices are interchangeable, so the 2^l - 1 exponents form
         # l orbits and dt_invariants canonicalizes once per orbit;
-        # ic_poincare_dt finishes DT_d only, and the sign twist adds no call
+        # ic_poincare_dt finishes DT_d only, by one exact division, no gcd
         q, d, theta = complete_with_loops(l), DimVector((1,) * l), Stability((0,) * l)
-        calls = self._count_from_ratio(monkeypatch)
+        calls = self._count(monkeypatch)
         assert len(dt_invariants(q, theta, d)) == 2**l - 1
-        assert len(calls) == l
-        del calls[:]
+        assert calls == Counter({"_from_integers": l, "gcd": l})
+        calls.clear()
         ic_poincare_dt(q, d, theta)
-        assert len(calls) == 1
+        assert calls == Counter()
+
+
+class TestExactDivision:
+    """_q_polynomial, one exact division in integers, against the canonical
+    value by Euclid and the three checks of require_q_polynomial."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        integer_laurents(),
+        integer_laurents(nonzero=True),
+        st.just({}) | integer_laurents(),
+        st.integers(1, 3),
+        st.booleans(),
+    )
+    # a polynomial in q, den of negative valuation
+    @example({0: 1, 2: -3}, {-2: 1, 0: 2}, {}, 1, False)
+    # zero coefficients at both ends of the quotient and of den
+    @example({0: 0, 2: 5, 4: 0}, {-1: 0, 0: 1, 2: -1, 6: 0}, {}, 1, False)
+    # a quotient over Q that is not over Z: a remainder, non-integer coefficients
+    @example({0: 1, 2: 2}, {0: 1, 1: 1}, {}, 2, False)
+    # a Laurent polynomial with an odd power, not one in q
+    @example({1: 1, 2: 1}, {0: 1}, {}, 1, False)
+    # a nontrivial denominator
+    @example({0: 1}, {0: 1, 1: 1}, {0: 1}, 1, False)
+    # num = 0
+    @example({}, {0: 2}, {}, 3, False)
+    def test_matches_the_oracle(self, quot, den, extra, scale, in_q):
+        # num = den * quot + extra over scale * den: the division is exact when
+        # extra = 0 and scale divides quot, and a polynomial in q when in_q
+        if in_q:
+            quot = {2 * abs(p): c for p, c in quot.items()}
+        num = _mul_add(dict(extra), den, quot)
+        den = {p: scale * c for p, c in den.items()}
+        got = _outcome(_q_polynomial, num, den, "value")
+        oracle = from_ratio_by_euclid(HalfLaurent(num), HalfLaurent(den))
+        want = _outcome(require_q_polynomial, oracle, "value")
+        if isinstance(want, HalfLaurent):
+            assert isinstance(got, HalfLaurent) and got.coeffs == want.coeffs
+        else:
+            assert got[0] is want[0] is InternalCheckError
+
+
+@st.composite
+def kernel_symmetric_problems(draw):
+    """(quiver, d, theta) on 2-3 vertices with d indivisible, coordinates up
+    to 3, whose form is symmetric on the kernel of the normalized theta t.
+
+    With t made primitive, the arrows are a symmetric part plus a skew part
+    a_ij - a_ji = eta_i t_j - t_i eta_j for a random eta in [-1, 1]^n, the
+    general form that is symmetric on the kernel of t; eta = 0 or t = 0
+    gives a symmetric quiver.
+    """
+    n = draw(st.integers(2, 3))
+    d = DimVector(tuple(draw(st.integers(0, 3)) for _ in range(n)))
+    assume(not d.is_zero and is_indivisible(d) and prod(c + 1 for c in d) <= 36)
+    theta = Stability(tuple(draw(st.integers(-3, 3)) for _ in range(n)))
+    t = normalize_stability(theta, d).weights
+    g = gcd(*t) or 1
+    t = [w // g for w in t]
+    eta = [draw(st.integers(-1, 1)) for _ in range(n)]
+    matrix = [[draw(st.integers(0, 2)) if i == j else 0 for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            skew = eta[i] * t[j] - t[i] * eta[j]
+            assume(abs(skew) <= 6)
+            both = draw(st.integers(0, 2))
+            matrix[i][j], matrix[j][i] = both + max(skew, 0), both + max(-skew, 0)
+    return Quiver.from_matrix(matrix), d, theta
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(kernel_symmetric_problems())
+@example((kronecker(2, 2), DimVector((1, 2)), Stability((0, 0))))
+# no swap fixes this quiver, and its form is symmetric on the kernel only
+@example((Q_A, DimVector((1, 2, 3)), Stability((-2, 1, -3))))
+def test_dt_d_is_invariant_under_generic_deformation(problem):
+    # acceptance criterion 4 on random problems: DT_d is the same for theta
+    # and for its generic deformation
+    q, d, theta = problem
+    tnorm = normalize_stability(theta, d)
+    assert symmetric_on_kernel(q, tnorm)
+    theta_prime = generic_deformation(tnorm, d)
+    assert dt_invariants(q, theta, d)[d] == dt_invariants(q, theta_prime, d)[d]
