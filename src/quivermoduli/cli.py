@@ -8,6 +8,8 @@ optional deformed stability) from a JSON file, stdin, or a named example
 family, dispatches one computation (COMMAND_TABLE) and prints the result,
 human-readable by default or as canonical JSON with --json. Options may
 come in any order, before or after COMMAND; `examples` takes no problem.
+argparse defines the grammar; the common form, options spelled in full,
+is read in one pass without importing it (_parse_argv).
 
 Exit codes: 0 success, 1 input or parse error (usage errors included) or
 output that cannot be written (a closed pipe, a full device), 2 precondition
@@ -17,9 +19,9 @@ failure. Every error prints one line on stderr.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-import re
 import sys
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -498,8 +500,8 @@ COMMAND_TABLE = {
 
 
 #: Every option but -h/--help: name -> (metavar, or None for a switch, default,
-#: one-line help). The argv pass, the --help text and the parsed fields read
-#: this table; an option's field is its name without dashes, - read as _.
+#: one-line help). The argv pass, the argparse parser and the parsed fields
+#: read this table; an option's field is its name without dashes, - read as _.
 _OPTION_TABLE = {
     "--example": ("EXAMPLE", None, "catalog example, family:p1,p2,..."),
     "--abelianize": (None, False, "split every vertex into unit-dimension copies before computing"),
@@ -508,8 +510,6 @@ _OPTION_TABLE = {
     "--max-box": ("MAX_BOX", DEFAULT_MAX_BOX, "cap on box-enumeration cells (default 10^6)"),
 }
 _DEFAULTS = {name[2:].replace("-", "_"): default for name, (_, default, _) in _OPTION_TABLE.items()}
-_LONG_OPTIONS = ("--help", *_OPTION_TABLE)
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
 
 def _positive_int(text: str) -> int:
@@ -518,154 +518,101 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
-        raise ValueError(f"argument --max-box: must be a positive integer, got {text!r}")
+        raise ValueError(f"must be a positive integer, got {text!r}")
     return value
-
-
-def _option(token: str):
-    """(name, explicit value or None) for an option token, None for an operand.
-
-    name is "-h", "--help", a key of _OPTION_TABLE, or "" for an unknown
-    option; a unique prefix of a long name stands for it.
-    """
-    if token[:1] != "-" or token == "-":
-        return None
-    head, eq, value = token.partition("=")
-    if head == "-h" or head in _LONG_OPTIONS:
-        return head, value if eq else None
-    if token[1] == "-":
-        names = [name for name in _LONG_OPTIONS if name.startswith(head)]
-        if len(names) > 1:
-            raise ValueError(f"ambiguous option: {token} could match {', '.join(names)}")
-        if names:
-            return names[0], value if eq else None
-    elif token[1] == "h":
-        return "-h", token[2:]  # -hX reads as -h with the explicit value X
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return "", None
 
 
 def _parse_argv(argv):
     """The fields of argv, or None when it asks for --help.
 
-    Options and at most two operands (COMMAND, then the input) mix freely;
-    an option takes its value as --opt=value or from the next token; the
-    last repeat of an option wins; after -- every token is an operand. A
-    -- before any operand is dropped instead, and the rest is read again
-    with its operands in one run, uninterrupted by options. Usage errors
+    The common form is read here in one pass: a known COMMAND and an
+    optional input (- or a token that does not start with -) among options
+    spelled in full, a value as --opt=value or as the next token, the last repeat of
+    an option winning. Any other argv, from usage errors to -h, abbreviated
+    options, --, negative numbers and values that start with -, goes to
+    argparse's parse_intermixed_args, whose verdict it is. Usage errors
     raise ValueError.
     """
     fields = dict(_DEFAULTS)
-    operands: list[str] = []
-    unknown: list[str] = []
-    # None reads operands anywhere; after a dropped --, the operands must form
-    # one run, and run says whether it is still to come, "open" or "closed"
-    run = None
-    tokens = list(argv)
-    while True:
-        stop = tokens.index("--") if "--" in tokens else len(tokens)
-        # every token before -- is read first, so an ambiguous one is refused
-        # before any option acts; the None after them ends the last option
-        kinds = [_option(token) for token in tokens[:stop]] + [None]
-        i = 0
-        while i < stop:
-            kind = kinds[i]
-            if kind is None:
-                if run == "closed":
-                    unknown.append(tokens[i])
-                else:
-                    operands.append(tokens[i])
-                    if run == "before":
-                        run = "open"
-                        _check_command(tokens[i])
-                i += 1
-                continue
-            if run == "open":
-                run = "closed"
-            name, value = kind
-            if not name:
-                unknown.append(tokens[i])
-            elif name in ("-h", "--help"):
-                # -hh... repeats -h; any other explicit value is refused
-                if value is None or (name == "-h" and value and not value.strip("h")):
-                    return None
-                raise ValueError(f"argument -h/--help: ignored explicit argument {value!r}")
-            elif _OPTION_TABLE[name][0] is None:
-                if value is not None:
-                    raise ValueError(f"argument {name}: ignored explicit argument {value!r}")
-                fields[name[2:].replace("-", "_")] = True
-            else:
-                if value is None:
-                    # the value is the next token, which must be an operand before --
-                    if kinds[i + 1] is not None or i + 1 == stop:
-                        raise ValueError(f"argument {name}: expected one argument")
-                    i += 1
-                    value = tokens[i]
-                if name == "--max-box":
-                    value = _positive_int(value)
-                fields[name[2:].replace("-", "_")] = value
-            i += 1
-        if stop == len(tokens) or run is not None or operands:
+    operands = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-" or token == "-":
+            operands.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        spec = _OPTION_TABLE.get(name)
+        if spec is None:
             break
-        # a -- before any operand is dropped, and the rest is read again
-        run, tokens = "before", tokens[stop + 1:]
-    if stop < len(tokens):
-        # a -- after a closed run is itself an extra token
-        if run == "closed":
-            unknown += tokens[stop:]
+        if spec[0] is None:
+            if eq:
+                break
+            value = True
         else:
-            operands += tokens[stop + 1:]
-    if operands:
-        _check_command(operands[0])
+            if not eq:
+                value = next(tokens, "-")  # a missing value reads as one that starts with -
+            if value[:1] == "-":
+                break
+            if name == "--max-box":
+                try:
+                    value = _positive_int(value)
+                except ValueError:
+                    break
+        fields[name[2:].replace("-", "_")] = value
     else:
-        raise ValueError("the following arguments are required: COMMAND")
-    unknown += operands[2:]
-    if unknown:
-        raise ValueError(f"unrecognized arguments: {' '.join(unknown)}")
-    # a second operand that is itself -- stands for no input
-    fields["input"] = operands[1] if len(operands) > 1 and operands[1] != "--" else None
-    return SimpleNamespace(command=operands[0], **fields)
+        if 0 < len(operands) < 3 and operands[0] in COMMAND_TABLE:
+            fields["input"] = operands[1] if len(operands) == 2 else None
+            return SimpleNamespace(command=operands[0], **fields)
+    try:
+        return _parser().parse_intermixed_args(argv)
+    except SystemExit:  # the help action's exit
+        return None
 
 
-def _check_command(name: str) -> None:
-    if name not in COMMAND_TABLE:
-        choices = ", ".join(map(repr, COMMAND_TABLE))
-        raise ValueError(f"argument COMMAND: invalid choice: {name!r} (choose from {choices})")
+@functools.cache
+def _parser():
+    """The argparse parser of this grammar, built on first use.
 
+    Its usage errors raise ValueError and its help action prints nothing;
+    every help text is laid out at 80 columns whatever COLUMNS says.
+    """
+    import argparse
 
-def _wrap(first: str, words, indent: int) -> list[str]:
-    """first followed by words, wrapped greedily at 78 columns under a hanging indent."""
-    lines = [first]
-    for word in words:
-        if len(lines[-1]) + 1 + len(word) > 78:
-            lines.append(" " * indent + word)
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):
+            # a usage error is an input error: main prints it on one line and exits 1
+            raise ValueError(message)
+
+        def print_help(self, file=None):
+            """Nothing: the help action exits next, and main writes _help_text()."""
+
+    def max_box(text: str) -> int:
+        try:
+            return _positive_int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(exc) from None
+
+    listing = "".join(f"\n  {name:<10} {text}" for name, (_, text) in COMMAND_TABLE.items())
+    parser = Parser(
+        prog="quivermoduli",
+        description="exact invariants of moduli of semistable quiver representations",
+        epilog="commands:" + listing,
+        formatter_class=functools.partial(argparse.RawDescriptionHelpFormatter, width=78),
+    )
+    parser.add_argument("command", metavar="COMMAND", choices=COMMAND_TABLE)
+    parser.add_argument("input", nargs="?", help="problem JSON path, or - for stdin")
+    for name, (metavar, default, text) in _OPTION_TABLE.items():
+        if metavar is None:
+            parser.add_argument(name, action="store_true", help=text)
         else:
-            lines[-1] += " " + word
-    return lines
+            kind = max_box if name == "--max-box" else None
+            parser.add_argument(name, metavar=metavar, default=default, type=kind, help=text)
+    return parser
 
 
 def _help_text() -> str:
     """The --help text, as argparse renders this grammar at 80 columns."""
-    rows = [("-h, --help", "show this help message and exit")]
-    rows += [
-        (f"{name} {metavar}" if metavar else name, text)
-        for name, (metavar, _, text) in _OPTION_TABLE.items()
-    ]
-    usage = ["[-h]"] + [f"[{invocation}]" for invocation, _ in rows[1:]]
-    column = max(len(invocation) for invocation, _ in rows) + 4
-    lines = _wrap("usage: quivermoduli", usage, 20)
-    lines += [" " * 20 + "COMMAND [input]", ""]
-    lines += ["exact invariants of moduli of semistable quiver representations", ""]
-    lines += ["positional arguments:", "  COMMAND"]
-    input_help = "problem JSON path, or - for stdin"
-    lines += _wrap(f"  {'input':<{column - 3}}", input_help.split(), column)
-    lines += ["", "options:"]
-    for invocation, text in rows:
-        lines += _wrap(f"  {invocation:<{column - 3}}", text.split(), column)
-    lines += ["", "commands:"]
-    lines += [f"  {name:<10} {text}" for name, (_, text) in COMMAND_TABLE.items()]
-    return "\n".join(lines) + "\n"
+    return _parser().format_help()
 
 
 def main(argv=None) -> int:

@@ -1,10 +1,11 @@
-"""Test oracle for the command line: the argparse parser the CLI once used.
+"""Test oracle for the command line: the argparse grammar of the CLI, written out.
 
 ``_build_parser`` builds the argparse grammar of ``quivermoduli.cli`` from
-its command table, and ``oracle_parse`` runs ``parse_intermixed_args`` on
-it. The package reads argv in one pass of its own, which must accept and
-refuse the same argv with the same fields, and print the same --help text
-as ``format_help()`` at 80 columns.
+its command table, option by option, and ``oracle_parse`` runs
+``parse_intermixed_args`` on it. The package reads the common form of argv
+in one pass and builds its own parser from its tables for the rest; either
+way it must accept and refuse the same argv with the same fields, and print
+the same --help text as ``format_help()`` at 80 columns.
 """
 
 from __future__ import annotations

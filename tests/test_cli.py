@@ -1,3 +1,4 @@
+import importlib.util
 import io
 import json
 import os
@@ -13,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pretty_oracle import pretty_text, record_json
 
+import quivermoduli.cli as cli_module
 import quivermoduli.strata as strata_module
 from quivermoduli import (
     DimVector,
@@ -352,6 +354,23 @@ class TestParser:
             assert expected == ("help", _help_text()), argv
         else:
             assert expected == ("ok", vars(args)), argv
+
+    def test_benchmark_argv_never_builds_the_parser(self, monkeypatch):
+        # every benchmark item is in the common form, which the one pass reads;
+        # argparse is for the rest, and costs milliseconds to import
+        path = os.path.join(os.path.dirname(SRC), "perfbench", "workloads.py")
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+
+        def refuse():
+            raise AssertionError("the argparse parser was built")
+
+        monkeypatch.setattr(cli_module, "_parser", refuse)
+        for workload in workloads.WORKLOADS:
+            for item in workloads.items(workload, 0):
+                args = _parse_argv(list(item.argv))
+                assert args is not None and args.command == item.argv[0], item.argv
 
     def test_options_in_any_position(self, capsys, monkeypatch):
         outputs = []

@@ -528,3 +528,32 @@ class TestRecords:
     def test_equal_fields_of_another_type_differ(self):
         assert DimVector((1, 2)) != Stability((1, 2))
         assert len({DimVector((1, 2)), DimVector([1, 2]), Stability((1, 2))}) == 2
+
+
+class TestValueRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DimVector((1, -1)), "dimension vector must be nonnegative, got (1, -1)"),
+            (lambda: DimVector((1,)).leq(DimVector((1, 1))), "dimension vectors of different lengths"),
+            (
+                lambda: Stability((1,))(DimVector((1, 1))),
+                "stability and dimension vector of different lengths",
+            ),
+            (lambda: Stability((1,)) + Stability((1, 1)), "stabilities of different lengths"),
+            (lambda: is_coprime(Stability((0, 0)), DimVector((0, 0))), "zero dimension vector"),
+            (
+                lambda: normalize_stability(Stability((1, 0)), DimVector((0, 0))),
+                "zero dimension vector",
+            ),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    def test_eta_factorization_at_zero_stability(self):
+        # at theta = 0 any eta satisfies the identity; the canonical one is 0
+        q = Quiver.from_matrix([[1, 2], [2, 0]])
+        assert eta_factorization(q, Stability((0, 0))) == (Fraction(0), Fraction(0))

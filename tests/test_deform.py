@@ -245,3 +245,16 @@ def test_solved_coordinate_matches_enumeration(problem):
     critical = [e for e in box_iter(d) if not e.is_zero and e != d and tnorm(e) == 0]
     expected = _eta_outcome(search_eta_by_enumeration, d, critical, max_norm)
     assert _eta_outcome(_search_eta, d, critical, max_norm) == expected
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: is_generic_deformation(Stability((0, 0)), Stability((1, -1)), DimVector((0, 0))),
+        lambda: generic_deformation(Stability((0, 0)), DimVector((0, 0))),
+    ],
+)
+def test_zero_dimension_vector_refused(call):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == "zero dimension vector"

@@ -17,7 +17,7 @@ from quivermoduli import (
     series_exp,
     series_log,
 )
-from quivermoduli.halfq import _mul
+from quivermoduli.halfq import _mobius, _mul
 
 BOX22 = DimVector((2, 2))
 ZERO22 = DimVector((0, 0))
@@ -399,3 +399,29 @@ class TestPlethystic:
             a = random_series(rng)
             b = random_series(rng)
             assert pleth_exp(a + b) == pleth_exp(a) * pleth_exp(b)
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (lambda: _mobius(0), ValueError, "mobius is defined for positive integers"),
+        (lambda: HalfLaurent.zero().valuation(), ValueError, "valuation of the zero polynomial"),
+        (lambda: HalfLaurent.zero().degree(), ValueError, "degree of the zero polynomial"),
+        (lambda: HalfLaurent.one().stretched(0), ValueError, "stretch factor must be positive"),
+        (lambda: RatFunc.one().stretched(0), ValueError, "stretch factor must be positive"),
+        (
+            lambda: RatFunc.from_ratio(HalfLaurent.one(), HalfLaurent.zero()),
+            ZeroDivisionError,
+            "rational function with zero denominator",
+        ),
+        (
+            lambda: RatFunc.from_ratio(HalfLaurent.one(), HalfLaurent({0: 1, 2: -1})).as_laurent(),
+            ValueError,
+            "rational function has a nontrivial denominator",
+        ),
+    ],
+)
+def test_refusals(call, kind, message):
+    with pytest.raises(kind) as exc:
+        call()
+    assert type(exc.value) is kind and str(exc.value) == message

@@ -7,6 +7,7 @@ from hn_oracle import hn_problems, p_by_decompositions
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from ratfunc_oracle import from_ratio_by_euclid, integer_laurents, require_q_polynomial
+from toric_oracle import cycle_cone, toric_ic
 
 from quivermoduli import (
     DimVector,
@@ -24,6 +25,7 @@ from quivermoduli import (
     ic_poincare_resolution,
     is_coprime,
     is_indivisible,
+    levi_adjoint,
     moduli_dim,
     normalize_stability,
     p_poly,
@@ -558,3 +560,82 @@ def test_dt_d_is_invariant_under_generic_deformation(problem):
     assert symmetric_on_kernel(q, tnorm)
     theta_prime = generic_deformation(tnorm, d)
     assert dt_invariants(q, theta, d)[d] == dt_invariants(q, theta_prime, d)[d]
+
+
+@pytest.mark.parametrize(
+    "call, kind, message",
+    [
+        (
+            lambda: p_poly(kronecker(1, 1), DimVector((0, 0)), Stability((0, 0))),
+            ValueError,
+            "zero dimension vector",
+        ),
+        (
+            # one arrow i -> j: (1, -1) deforms theta = 0 generically on (1, 1),
+            # but the skew form does not vanish on the kernel, which is everything
+            lambda: ic_poincare_resolution(
+                kronecker(1), DimVector((1, 1)), Stability((0, 0)), Stability((1, -1))
+            ),
+            PreconditionError,
+            "form is not symmetric on the kernel of the stability",
+        ),
+    ],
+)
+def test_refusals(call, kind, message):
+    with pytest.raises(kind) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@st.composite
+def toric_problems(draw):
+    """Arrow matrices of connected symmetric quivers on 1-4 vertices, with loops.
+
+    A random tree keeps the quiver connected, so stables exist at theta = 0.
+    The cycle cone has rank 2 * pairs - n + 1 for n vertices and that many
+    pairs of opposite arrows, so one pair beyond the tree on 2 or 3 vertices,
+    and none on 4, keeps it at most 4.
+    """
+    n = draw(st.integers(1, 4))
+    order = draw(st.permutations(range(n)))
+    pairs = [(order[k], order[draw(st.integers(0, k - 1))]) for k in range(1, n)]
+    if n in (2, 3) and draw(st.booleans()):
+        pairs.append(tuple(draw(st.permutations(range(n)))[:2]))
+    arrows = [[0] * n for _ in range(n)]
+    for i, j in pairs:
+        arrows[i][j] += 1
+        arrows[j][i] += 1
+    for i in range(n):
+        arrows[i][i] = draw(st.integers(0, 2))
+    return arrows
+
+
+class TestToricRoute:
+    """IC of a torus quotient, by the g-polynomial of its cycle cone (tests/toric_oracle.py)."""
+
+    @staticmethod
+    def engine(arrows):
+        n = len(arrows)
+        value = ic_poincare_dt(Quiver.from_matrix(arrows), DimVector((1,) * n), Stability((0,) * n))
+        return {p: int(c) for p, c in value.q_dict().items()}
+
+    @settings(max_examples=60, deadline=None)
+    @given(arrows=toric_problems())
+    @example(arrows=[[0, 2], [2, 0]])
+    @example(arrows=[[1, 2], [2, 2]])
+    @example(arrows=[[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    @example(arrows=[[0, 2, 0], [2, 0, 1], [0, 1, 0]])
+    @example(arrows=[[0, 1, 1, 1], [1, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 0]])
+    def test_matches_the_dt_route(self, arrows):
+        assert self.engine(arrows) == toric_ic(arrows)
+
+    def test_levi_adjoint_3(self):
+        # rank 4, six facets, three loops: 2q^6 + q^7; the reference value
+        # q^5 + q^6 + q^7 of acceptance criterion 3 needs g_2 != 0, which no
+        # cone of rank 4 has
+        setup = levi_adjoint(3)
+        arrows = [list(row) for row in setup.quiver.arrows]
+        assert cycle_cone(arrows) == (4, 6)
+        assert toric_ic(arrows) == {6: 2, 7: 1}
+        value = ic_poincare_dt(setup.quiver, setup.dim_vector, setup.stability)
+        assert {p: int(c) for p, c in value.q_dict().items()} == {6: 2, 7: 1}

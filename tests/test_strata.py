@@ -581,3 +581,40 @@ class TestTypeCount:
         assert strata_module._type_count(d.coords, _candidates(d, theta), 10**6) == 94664
         with pytest.raises(PreconditionError, match="decomposition types"):
             luna_types(kronecker(3), d, theta)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (
+                lambda: certify_smallness(
+                    kronecker(1, 1), DimVector((0, 0)), Stability((0, 0)), Stability((1, -1))
+                ),
+                "zero dimension vector",
+            ),
+            (
+                lambda: codim_lower_bound(
+                    kronecker(1, 1), DimVector((1, 1)), LunaType(((DimVector((1, 0)), 1),))
+                ),
+                "decomposition type does not sum to d",
+            ),
+            (
+                lambda: smallness_margin(
+                    kronecker(1, 1), DimVector((1, 1)), LunaType(((DimVector((0, 1)), 2),))
+                ),
+                "decomposition type does not sum to d",
+            ),
+        ],
+    )
+    def test_refused(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("quiver, certified", [(kronecker(2, 2), True), (kronecker(2, 1), False)])
+    def test_certified_is_the_verdict(self, quiver, certified):
+        # Kronecker(2, 1) is not symmetric on the kernel of theta = 0
+        report = certify_smallness(quiver, DimVector((1, 1)), Stability((0, 0)), Stability((1, -1)))
+        assert report.certified is certified
+        assert report.verdict == ("Certified" if certified else "NotApplicable")
