@@ -7,8 +7,18 @@ Two layers over fractions.Fraction on an integer layer, all exact:
 * ``RatFunc``: rational functions in v kept in a canonical form
   (v^shift * num / den with num, den of valuation zero, coprime, den
   monic), so structural equality coincides with field equality.
-* integer polynomials, dense coefficient lists: the gcd and exact division
-  by which ``RatFunc._from_integers`` canonicalizes {v-power: int} ratios.
+* integer polynomials, in three forms, each where it is cheapest:
+
+  - packed ints (``_pack``, ``_unpack``): a polynomial evaluated at a power
+    of 2 (Kronecker substitution), so a product is one product of Python
+    ints. The HN recursion and the DT log of ``invariants`` run on them
+    and decode each result once.
+  - {v-power: int} dicts (``_mul``, ``_mul_add``): the decoded results,
+    the q-factorials and the few products that finish a value in
+    ``invariants``; ``HalfLaurent`` multiplies its Fraction dicts the same way.
+  - dense coefficient lists (``_dense``, ``_prs_gcd``, ``_exact_quotient``):
+    the gcd and exact division by which ``RatFunc._from_integers`` and
+    ``invariants._q_polynomial`` finish {v-power: int} ratios.
 
 The module imports nothing from the package. The box-truncated series
 built on ``RatFunc`` live in ``series``.
@@ -91,6 +101,13 @@ class HalfLaurent:
         self.coeffs = clean
 
     @classmethod
+    def _trusted(cls, coeffs: dict[int, Fraction]) -> "HalfLaurent":
+        """coeffs as they are: int powers to nonzero Fractions, neither checked nor copied."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        return out
+
+    @classmethod
     def zero(cls) -> "HalfLaurent":
         return cls()
 
@@ -128,13 +145,13 @@ class HalfLaurent:
 
     def shifted(self, k: int) -> "HalfLaurent":
         """Multiplication by v^k."""
-        return HalfLaurent({p + k: c for p, c in self.coeffs.items()})
+        return HalfLaurent._trusted({p + k: c for p, c in self.coeffs.items()})
 
     def stretched(self, n: int) -> "HalfLaurent":
         """Substitution v -> v^n."""
         if n < 1:
             raise ValueError("stretch factor must be positive")
-        return HalfLaurent({p * n: c for p, c in self.coeffs.items()})
+        return HalfLaurent._trusted({p * n: c for p, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HalfLaurent):
@@ -161,7 +178,7 @@ class HalfLaurent:
     __radd__ = __add__
 
     def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({p: -c for p, c in self.coeffs.items()})
+        return HalfLaurent._trusted({p: -c for p, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "HalfLaurent":
         other = _as_laurent(other)
@@ -311,6 +328,50 @@ def _exact_quotient(a: list[int], g: list[int]) -> list[int] | None:
 
 
 # ---------------------------------------------------------------------------
+# integer polynomials, packed (Kronecker substitution): the polynomial
+# sum_k c_k y^(low + k) in y = v^(-step) is kept as (low, x), where
+# x = sum_k c_k 2^(width k) is its value at y = 2^width. That evaluation is a
+# ring map, so packed sums and products are exact whatever width is; a value
+# decodes uniquely when every |c_k| < 2^(width - 1). width is a multiple of 8.
+
+
+def _bias(n: int, width: int) -> int:
+    """sum_{k < n} 2^(width - 1) 2^(width k): added to a packed value, it makes every digit nonnegative."""
+    return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * n, "little")
+
+
+def _pack(l: Mapping[int, int], width: int, step: int = 1) -> tuple[int, int]:
+    """(low, x) of {v-power: int} in y = v^(-step); every power must be a multiple of step."""
+    if not l:
+        return 0, 0
+    low, size, half = -max(l) // step, width // 8, 1 << (width - 1)
+    digits = [half] * (-min(l) // step - low + 1)
+    for p, c in l.items():
+        digits[-p // step - low] += c
+    raw = b"".join(c.to_bytes(size, "little") for c in digits)
+    return low, int.from_bytes(raw, "little") - _bias(len(digits), width)
+
+
+def _unpack(low: int, x: int, width: int, step: int = 1) -> dict[int, int]:
+    """{v-power: int} of a packed (low, x) in y = v^(-step), zeros dropped.
+
+    Every coefficient must lie in (-2^(width - 1), 2^(width - 1)). Then n =
+    bit_length(|x|) // width + 1 digits hold x, and adding _bias(n) turns
+    each digit c into c + 2^(width - 1) in [1, 2^width), so no digit borrows
+    from the next one and each is read off as bytes.
+    """
+    size, half = width // 8, 1 << (width - 1)
+    n = abs(x).bit_length() // width + 1
+    raw = (x + _bias(n, width)).to_bytes(n * size, "little")
+    out = {}
+    for k in range(n):
+        c = int.from_bytes(raw[k * size : (k + 1) * size], "little") - half
+        if c:
+            out[-step * (low + k)] = c
+    return out
+
+
+# ---------------------------------------------------------------------------
 # rational functions
 
 
@@ -354,8 +415,8 @@ class RatFunc:
             a, b = _exact_quotient(a, g), _exact_quotient(b, g)
         lc = b[-1]
         return cls(
-            HalfLaurent({p: Fraction(c, lc) for p, c in enumerate(a) if c}),
-            HalfLaurent({p: Fraction(c, lc) for p, c in enumerate(b) if c}),
+            HalfLaurent._trusted({p: Fraction(c, lc) for p, c in enumerate(a) if c}),
+            HalfLaurent._trusted({p: Fraction(c, lc) for p, c in enumerate(b) if c}),
             low_a - low_b,
         )
 
@@ -471,7 +532,7 @@ class RatFunc:
 
     @property
     def is_laurent(self) -> bool:
-        return self.den == HalfLaurent.one()
+        return self.den.coeffs == {0: 1}
 
     def as_laurent(self) -> HalfLaurent:
         if not self.is_laurent:

@@ -7,7 +7,15 @@ logarithm, and the two independent routes to the intersection-cohomology
 Poincare polynomial. Both p and the DT invariants run in integer Laurent
 polynomials in v, Gaussian-normalized: the coefficient at e is kept
 multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). No gcd is
-taken on the way. p and each DT invariant are canonicalized once, by one
+taken on the way. Inside the two recursions each value is packed (see
+halfq): its lowest power and one int, the polynomial evaluated at y =
+2^width, in y = v^-2 for the HN recursion, whose powers are all even, and
+in y = v^-1 for the DT log. A step is one product of ints. Evaluation at y
+is a ring map, so the packed sums are exact whatever the width; the width
+only has to make each result decode to the right coefficients, and
+_widths fixes it per call from l1-norm bounds (Fubini numbers) that
+every coefficient of the call obeys. Each result is decoded once, to
+{v-power: int}. p and each DT invariant are canonicalized once, by one
 gcd in RatFunc._from_integers; the Betti polynomial and the sign-twisted DT
 invariant are polynomials, one exact division each. Both recursions run
 over orbits: vertices that a swap leaves interchangeable give equal values
@@ -26,9 +34,9 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable
 from functools import cache
-from itertools import chain, combinations_with_replacement, groupby, product, repeat
-from math import factorial, prod
-from operator import itemgetter
+from itertools import chain, combinations_with_replacement, groupby, islice, product, repeat
+from math import comb, factorial, prod
+from operator import getitem, itemgetter, mul, sub
 
 from .core import (
     DEFAULT_MAX_BOX,
@@ -38,44 +46,62 @@ from .core import (
     check_box,
     is_coprime,
     normalize_stability,
-    slope,
     sub_box,
     symmetric_on_kernel,
 )
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, PreconditionError
-from .halfq import HalfLaurent, RatFunc, _dense, _exact_quotient, _mobius, _mul, _mul_add
+from .halfq import (
+    HalfLaurent,
+    RatFunc,
+    _dense,
+    _exact_quotient,
+    _mobius,
+    _mul,
+    _mul_add,
+    _pack,
+    _unpack,
+)
 
 
-def _binomials(top: int) -> Callable[[tuple[int, ...], tuple[int, ...]], dict[int, int]]:
-    """binom(s, t) = prod_i [s_i choose t_i] in v for t <= s <= top.
+def _binomials(top: int, width: int) -> list[list[int]]:
+    """[n choose k] in v, packed in y = v^-2 at width (see halfq), as row n, entry k, for n <= top.
 
-    [n, k] = [n-1, k-1] + v^(-2k) [n-1, k] = [n]! / ([k]! [n-k]!) has integer
-    coefficients; each product is built on first use and kept for the call.
+    [n, k] = [n-1, k-1] + v^(-2k) [n-1, k] = [n]! / ([k]! [n-k]!) is a
+    polynomial in v^-2 with nonnegative integer coefficients that sum to
+    C(n, k), so every entry has lowest power 0 and decodes for any width
+    with C(top, k) < 2^(width - 1). A pair's binomial binom(s, t) = prod_i
+    [s_i choose t_i] is the product of row s_i, entry t_i over i.
     """
-    table = [[{0: 1}]]
+    table = [[1]]
     for n in range(1, top + 1):
         prev = table[-1]
-        row = [{0: 1}]
-        for k in range(1, n):
-            coeffs = dict(prev[k - 1])
-            for p, c in prev[k].items():
-                coeffs[p - 2 * k] = coeffs.get(p - 2 * k, 0) + c
-            row.append(coeffs)
-        row.append({0: 1})
-        table.append(row)
+        table.append([1, *(prev[k - 1] + (prev[k] << width * k) for k in range(1, n)), 1])
+    return table
 
-    @cache
-    def product(key: tuple[tuple[int, int], ...]) -> dict[int, int]:
-        out = {0: 1}
-        for si, ti in key:
-            out = _mul(out, table[si][ti])
-        return out
 
-    def binom(s: tuple[int, ...], t: tuple[int, ...]) -> dict[int, int]:
-        return product(tuple((si, ti) for si, ti in zip(s, t) if 0 < ti < si))
+@cache
+def _widths(total: int) -> tuple[int, int]:
+    """Digit widths, multiples of 8, for G of _hn_numerators and M of _dt_logs when |d| = total.
 
-    return binom
+    G(S) = -sum_T w v^(...) binom(S, T) G(T), and the l1 norm |f| = sum of
+    |coefficients| satisfies |fg| <= |f| |g| and |binom(S, T)| = prod_i
+    C(s_i, t_i), so |G(S)| <= sum_T w |G(T)| prod_i C(s_i, t_i). The orbit
+    weights w count every cell T < S once, and the cells with |T| = k carry
+    prod_i C(s_i, t_i) summing to C(|S|, k) (Vandermonde), so by induction
+    |G(S)| <= a(|S|) with a(0) = 1, a(n) = sum_{k < n} C(n, k) a(k): the
+    Fubini numbers, which count ordered set partitions. In the same way,
+    M(e) = |e| S_N(e) - sum w binom(e, e1) M(e1) S_N(e - e1) and |S_N(e)| =
+    |G(e)| give |M(e)| <= m(|e|) with m(n) = n a(n) + sum_{0 < k < n}
+    C(n, k) m(k) a(n - k), increasing in n. A coefficient is at most the
+    l1 norm, so widths with a(total), m(total) < 2^(width - 1) decode every
+    value of the call.
+    """
+    a, m = [1], [0]
+    for n in range(1, total + 1):
+        a.append(sum(comb(n, k) * a[k] for k in range(n)))
+        m.append(n * a[n] + sum(comb(n, k) * m[k] * a[n - k] for k in range(1, n)))
+    return tuple(8 * (b.bit_length() // 8 + 1) for b in (a[total], m[total]))
 
 
 @cache
@@ -151,55 +177,67 @@ def _orbits(
 
 def _hn_numerators(
     q: Quiver, d: DimVector, theta: Stability, max_box: int
-) -> tuple[dict[DimVector, dict[int, int]], Callable, Callable, Callable]:
+) -> tuple[dict[DimVector, dict[int, int]], Callable, Callable]:
     """Harder-Narasimhan recursion over the canonical cells of the box [0, d].
 
     Returns G(e) = -[e]! p_e for every canonical nonzero e <= d (see
     _orbits) with slope(e) = slope(d), as an integer Laurent polynomial
     {k: coefficient of v^k}, where [e]! = prod_i prod_{j=1}^{e_i} (1 -
-    v^(-2j)); then the call's Gaussian-binomial table and the canon and
-    walk of _orbits, which the DT log reuses. See p_poly for the sum and
-    the recursion. G is constant on orbits, so a cell S steps once per
-    orbit of its sub-box, weighted by the orbit's size, at G(canon T). For
-    T <= S, canon T <= S too, so visiting the canonical cells in ascending
-    lexicographic order finishes every canon T != S before S; only cells
-    of slope at least slope(d) are needed.
+    v^(-2j)); then the canon and walk of _orbits, which the DT log reuses.
+    See p_poly for the sum and the recursion. G is constant on orbits, so a
+    cell S steps once per orbit of its sub-box, weighted by the orbit's
+    size, at G(canon T). For T <= S, canon T <= S too, so visiting the
+    canonical cells in ascending lexicographic order finishes every canon
+    T != S before S; only cells of slope at least slope(d) are needed.
+
+    Every power of G is even, so G is kept packed in y = v^-2 (see halfq):
+    (low, x), the power of its lowest digit and one int. A step is then
+    one product of ints, the orbit size times the row entries of
+    _binomials times x, moved by form(S - T, S) digits. Packing is a ring
+    map, so the sum is exact; the width of _widths bounds every
+    coefficient of G, so the one decode of each returned value is exact.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
     check_box(d, max_box)
     tnorm = normalize_stability(theta, d)
-    mu_d = slope(theta, d)
     euler = q.euler_matrix()
-    n = len(d)
-    binom = _binomials(max(d))
+    dc, weights, theta_w = d.coords, tnorm.weights, theta.weights
+    theta_d, size_d = theta(d), d.total
+    width = _widths(size_d)[0]
+    table = _binomials(max(dc), width)
     cells, canon, walk = _orbits(euler, d, tnorm)
-    # cells that may end a proper partial sum, with their G values
-    sources: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
+    # cells that may end a proper partial sum, with their packed G values
+    sources = {(0,) * len(dc): (0, 1)}
     numerators: dict[DimVector, dict[int, int]] = {}
-    for s in cells:
-        cell = DimVector(s)
-        if cell.is_zero:
-            continue
-        weight = tnorm(cell)
-        if cell != d and (slope(theta, cell) > mu_d) != (weight > 0):
+    for s in islice(cells, 1, None):  # the first cell is 0
+        weight = sum(map(mul, weights, s))
+        # slope(s) > slope(d), in integers
+        if s != dc and (sum(map(mul, theta_w, s)) * size_d > theta_d * sum(s)) != (weight > 0):
             raise InternalCheckError("slope and weight forms of the condition disagree")
         if weight < 0:
             continue
-        es = [sum(row[j] * s[j] for j in range(n)) for row in euler]
-        form_ss = sum(a * b for a, b in zip(s, es))
-        acc: dict[int, int] = {}
+        es = [sum(map(mul, row, s)) for row in euler]
+        rows = [table[si] for si in s]
+        # sum_T w binom(S, T) G(T) y^(-t.es), whose lowest digit is at y^low
+        low = acc = 0
         for t, w in walk(s):
             g = sources.get(canon(t))
-            if g is not None:  # -w v^(-2 form(S - T, S)) [S]! / ([T]! [S - T]!) G(T)
-                shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
-                _mul_add(acc, g, binom(s, t), shift, -w)
-        acc = {p: c for p, c in acc.items() if c}
+            if g is not None:
+                term = prod(map(getitem, rows, t), start=w) * g[1]
+                at = g[0] - sum(map(mul, t, es))
+                if at >= low:
+                    acc += term << width * (at - low)
+                else:
+                    acc = (acc << width * (low - at)) + term
+                    low = at
+        # G(S) is that sum times -y^form(S, S)
+        value = (low + sum(map(mul, s, es)), -acc)
         if weight > 0:
-            sources[s] = acc
+            sources[s] = value
         else:
-            numerators[cell] = acc
-    return numerators, binom, canon, walk
+            numerators[DimVector(s)] = _unpack(*value, width, 2)
+    return numerators, canon, walk
 
 
 def _factorial(e: Iterable[int], m: int = 0) -> dict[int, int]:
@@ -288,7 +326,9 @@ def dt_invariants(
     weight, the partial-sum condition is positivity for every such e.
 
     Every coefficient at e is kept multiplied by [e]! as an integer
-    Laurent polynomial in v, so S_N(e) = -(-v)^(form(e,e)) G(e), and a
+    Laurent polynomial in v, packed in v^-1 while the log runs (see
+    _dt_logs; the width of _widths bounds every coefficient of M, so its
+    one decode is exact), so S_N(e) = -(-v)^(form(e,e)) G(e), and a
     product of series becomes a convolution with Gaussian binomials:
     (AB)_N(e) = sum_{e1 + e2 = e} [e choose e1] A_N(e1) B_N(e2). The grading
     derivation t^e -> |e| t^e turns D S = S * D(log S) into
@@ -314,28 +354,42 @@ def dt_invariants(
 
 def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> tuple[dict, Callable]:
     """M(e) of dt_invariants for every canonical slope-zero e <= d, keyed by
-    e.coords, and the canon of _orbits."""
+    e.coords, and the canon of _orbits.
+
+    S_N and M mix even and odd powers of v, so they are packed in y = v^-1,
+    at the width of _widths, which bounds every coefficient of M; the
+    binomials are the rows of _binomials at twice that width. Each M(e) is
+    decoded once, at the end.
+    """
     tnorm = normalize_stability(theta, d)
-    numerators, binom, canon, walk = _hn_numerators(q, d, tnorm, max_box)
-    # S_N(e) = -(-v)^form(e,e) G(e), keyed by v-power
-    series: dict[tuple[int, ...], dict[int, int]] = {}
+    numerators, canon, walk = _hn_numerators(q, d, tnorm, max_box)
+    width = _widths(d.total)[1]
+    table = _binomials(max(d.coords), 2 * width)
+    # S_N(e) = -(-v)^form(e,e) G(e)
+    series: dict[tuple[int, ...], tuple[int, int]] = {}
     for e, g in numerators.items():
         form_ee = q.euler_form(e, e)
-        sign = 1 if form_ee % 2 else -1
-        series[e.coords] = {form_ee + p: sign * c for p, c in g.items()}
+        low, x = _pack(g, width)
+        series[e.coords] = (low - form_ee, x if form_ee % 2 else -x)
     # M(e), canonical cells in ascending lexicographic order, so every
     # canon e1 != e comes first; one weighted step per orbit, as in G
-    logs: dict[tuple[int, ...], dict[int, int]] = {}
-    for s, s_n in series.items():
-        size = sum(s)
-        acc = {p: size * c for p, c in s_n.items()}
+    logs: dict[tuple[int, ...], tuple[int, int]] = {}
+    for s, (low, x) in series.items():
+        rows = [table[si] for si in s]
+        acc = sum(s) * x
         for t, w in walk(s):
             m = logs.get(canon(t))
             if m is not None:
-                rest = series[canon(tuple(si - ti for si, ti in zip(s, t)))]
-                _mul_add(acc, _mul(binom(s, t), m), rest, sign=-w)
-        logs[s] = {p: c for p, c in acc.items() if c}
-    return logs, canon
+                rest = series[canon(tuple(map(sub, s, t)))]
+                term = prod(map(getitem, rows, t), start=w) * m[1] * rest[1]
+                at = m[0] + rest[0]
+                if at >= low:
+                    acc -= term << width * (at - low)
+                else:
+                    acc = (acc << width * (low - at)) - term
+                    low = at
+        logs[s] = (low, acc)
+    return {s: _unpack(*value, width) for s, value in logs.items()}, canon
 
 
 def _dt_value(s: tuple[int, ...], logs: dict) -> tuple[dict[int, int], dict[int, int]]:

@@ -8,9 +8,11 @@ is for small boxes only; the package computes the same sum by the
 Harder-Narasimhan recursion. ``hn_problems`` draws the random inputs the
 differential tests share.
 
-``hn_numerators_by_cells`` and ``dt_logs_by_cells`` run that recursion and
-the DT log over every cell of the box, one step per pair T <= S. The
-package runs them over one cell per orbit of interchangeable vertices;
+``hn_values_by_cells``, ``hn_numerators_by_cells`` and ``dt_logs_by_cells``
+run that recursion and the DT log over every cell of the box, one step per
+pair T <= S, on {v-power: int} dicts with the Gaussian binomials of
+``binomials_by_dicts``. The package runs them over one cell per orbit of
+interchangeable vertices, on polynomials packed into ints;
 ``repeated_vertex_problems`` draws inputs that have such orbits.
 """
 
@@ -34,7 +36,6 @@ from quivermoduli import (
 )
 from quivermoduli.core import sub_box
 from quivermoduli.halfq import _mul, _mul_add
-from quivermoduli.invariants import _binomials
 
 
 @dataclass(frozen=True)
@@ -126,37 +127,66 @@ def hn_problems(draw, max_cells: int = 24, vertices: tuple[int, int] = (2, 4)):
     return Quiver.from_matrix(arrows), DimVector(tuple(coords)), Stability(weights)
 
 
-def hn_numerators_by_cells(q: Quiver, d: DimVector, theta: Stability) -> dict[DimVector, dict]:
-    """G(e) = -[e]! p_e of the HN recursion at every nonzero e <= d of slope(d).
+def binomials_by_dicts(top: int):
+    """binom(s, t) = prod_i [s_i choose t_i] in v for t <= s <= top, as {v-power: int}.
 
-    Every cell S of slope at least slope(d) steps at every T <= S that is 0 or
-    of slope above slope(d), in ascending lexicographic order, by
+    [n, k] = [n-1, k-1] + v^(-2k) [n-1, k], one dict per entry, and one dict
+    product per coordinate of the pair.
+    """
+    table = [[{0: 1}]]
+    for n in range(1, top + 1):
+        prev = table[-1]
+        row = [{0: 1}]
+        for k in range(1, n):
+            coeffs = dict(prev[k - 1])
+            for p, c in prev[k].items():
+                coeffs[p - 2 * k] = coeffs.get(p - 2 * k, 0) + c
+            row.append(coeffs)
+        row.append({0: 1})
+        table.append(row)
+
+    def binom(s: tuple[int, ...], t: tuple[int, ...]) -> dict[int, int]:
+        out = {0: 1}
+        for si, ti in zip(s, t):
+            out = _mul(out, table[si][ti])
+        return out
+
+    return binom
+
+
+def hn_values_by_cells(q: Quiver, d: DimVector, theta: Stability) -> dict[tuple[int, ...], dict]:
+    """G(S) of the HN recursion at every nonzero S <= d of slope at least slope(d), keyed by S.coords.
+
+    Every such cell S steps at every T <= S that is 0 or of slope above
+    slope(d), in ascending lexicographic order, by
     -v^(-2 form(S - T, S)) [S choose T] G(T).
     """
     tnorm = normalize_stability(theta, d)
     euler = q.euler_matrix()
     n = len(d)
-    binom = _binomials(max(d))
-    sources: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
-    numerators: dict[DimVector, dict[int, int]] = {}
+    binom = binomials_by_dicts(max(d))
+    values: dict[tuple[int, ...], dict[int, int]] = {(0,) * n: {0: 1}}
     for cell in box_iter(d):
-        weight = tnorm(cell)
-        if cell.is_zero or weight < 0:
+        if cell.is_zero or tnorm(cell) < 0:
             continue
         s = cell.coords
         es = [sum(row[j] * s[j] for j in range(n)) for row in euler]
         form_ss = sum(a * b for a, b in zip(s, es))
         acc: dict[int, int] = {}
         for t in sub_box(s):
-            if t in sources:
+            if t in values and (not any(t) or tnorm(DimVector(t)) > 0):
                 shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
-                _mul_add(acc, sources[t], binom(s, t), shift, -1)
-        acc = {p: c for p, c in acc.items() if c}
-        if weight > 0:
-            sources[s] = acc
-        else:
-            numerators[cell] = acc
-    return numerators
+                _mul_add(acc, values[t], binom(s, t), shift, -1)
+        values[s] = {p: c for p, c in acc.items() if c}
+    del values[(0,) * n]
+    return values
+
+
+def hn_numerators_by_cells(q: Quiver, d: DimVector, theta: Stability) -> dict[DimVector, dict]:
+    """G(e) = -[e]! p_e of the HN recursion at every nonzero e <= d of slope(d)."""
+    tnorm = normalize_stability(theta, d)
+    values = hn_values_by_cells(q, d, theta)
+    return {DimVector(s): g for s, g in values.items() if tnorm(DimVector(s)) == 0}
 
 
 def dt_logs_by_cells(q: Quiver, theta: Stability, d: DimVector) -> dict[tuple[int, ...], dict]:
@@ -166,7 +196,7 @@ def dt_logs_by_cells(q: Quiver, theta: Stability, d: DimVector) -> dict[tuple[in
     0 < e1 < e by M(e) -= [e choose e1] M(e1) S_N(e - e1).
     """
     tnorm = normalize_stability(theta, d)
-    binom = _binomials(max(d))
+    binom = binomials_by_dicts(max(d))
     series: dict[tuple[int, ...], dict[int, int]] = {}
     for e, g in hn_numerators_by_cells(q, d, tnorm).items():
         form_ee = q.euler_form(e, e)

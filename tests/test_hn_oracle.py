@@ -133,7 +133,7 @@ class TestOrbitCompression:
     def test_matches_walk_over_every_cell(self, problem):
         q, d, theta = problem
         tnorm = normalize_stability(theta, d)
-        numerators, _, canon, _ = _hn_numerators(q, d, theta, DEFAULT_MAX_BOX)
+        numerators, canon, _ = _hn_numerators(q, d, theta, DEFAULT_MAX_BOX)
         by_cells = hn_numerators_by_cells(q, d, theta)
         assert set(numerators) == {DimVector(canon(e.coords)) for e in by_cells}
         for e, g in by_cells.items():

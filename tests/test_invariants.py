@@ -32,7 +32,7 @@ from quivermoduli import (
     symmetric_on_kernel,
 )
 from quivermoduli import halfq
-from quivermoduli.halfq import _mul, _mul_add
+from quivermoduli.halfq import _mul, _mul_add, _unpack
 from quivermoduli.invariants import _binomials, _factorial, _q_polynomial
 
 
@@ -354,12 +354,15 @@ class TestVCoordinateIdentities:
     BOX = DimVector((3, 2, 1))
 
     def test_binomial_times_factorials_is_factorial(self):
-        binom = _binomials(max(self.BOX))
+        # every binom(s, t) here is at most C(6, 3) = 20 in l1 norm, so width 8 decodes it
+        table = _binomials(max(self.BOX), 8)
         pairs = 0
         for s in box_iter(self.BOX):
             for t in box_iter(s):
                 rest = s - t
-                product = _mul(_mul(binom(s.coords, t.coords), _factorial(t)), _factorial(rest))
+                packed = prod(table[si][ti] for si, ti in zip(s, t))
+                binom = _unpack(0, packed, 8, 2)
+                product = _mul(_mul(binom, _factorial(t)), _factorial(rest))
                 assert product == _factorial(s), (s, t)
                 pairs += 1
         assert pairs == 10 * 6 * 3  # prod_i (d_i + 1)(d_i + 2) / 2
