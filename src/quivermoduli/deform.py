@@ -38,6 +38,10 @@ class DeformationVerdict(_Record):
     def __bool__(self) -> bool:
         return self.passed
 
+    def __str__(self) -> str:
+        """The first three violations, each as its reason and its vector's coordinates."""
+        return ", ".join(f"{reason} {e.coords}" for reason, e in self.violations[:3])
+
 
 def is_generic_deformation(
     theta: Stability,
@@ -189,6 +193,6 @@ def generic_deformation(
     verdict = is_generic_deformation(theta, theta_prime, d, max_box)
     if not verdict.passed:
         raise InternalCheckError(
-            f"constructed deformation {theta_prime} failed verification: {verdict.violations[:3]}"
+            f"constructed deformation {theta_prime.weights} failed verification: {verdict}"
         )
     return theta_prime

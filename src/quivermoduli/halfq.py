@@ -7,18 +7,17 @@ Two layers over fractions.Fraction on an integer layer, all exact:
 * ``RatFunc``: rational functions in v kept in a canonical form
   (v^shift * num / den with num, den of valuation zero, coprime, den
   monic), so structural equality coincides with field equality.
-* integer polynomials, in three forms, each where it is cheapest:
+* integer polynomials, in two forms:
 
   - packed ints (``_pack``, ``_unpack``): a polynomial evaluated at a power
     of 2 (Kronecker substitution), so a product is one product of Python
-    ints. The HN recursion and the DT log of ``invariants`` run on them
-    and decode each result once.
-  - {v-power: int} dicts (``_mul``, ``_mul_add``): the decoded results,
-    the q-factorials and the few products that finish a value in
-    ``invariants``; ``HalfLaurent`` multiplies its Fraction dicts the same way.
-  - dense coefficient lists (``_dense``, ``_prs_gcd``, ``_exact_quotient``):
-    the gcd and exact division by which ``RatFunc._from_integers`` and
-    ``invariants._q_polynomial`` finish {v-power: int} ratios.
+    ints. The HN recursion and the DT log of ``invariants`` run on them.
+  - dense (valuation, coefficient list) pairs, into which ``_unpack``
+    decodes each result once; ``invariants`` finishes them by list
+    operations and one gcd or exact division (``_prs_gcd``,
+    ``_exact_quotient``), and ``RatFunc.from_ratio`` reads Fraction dicts
+    into them by ``_dense``. The dict product with a shift and a sign and
+    the dict packing at any step are oracles in tests/hn_oracle.py.
 
 The module imports nothing from the package. The box-truncated series
 built on ``RatFunc`` live in ``series``.
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import sub
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -40,37 +40,24 @@ def _mobius(n: int) -> int:
     """Moebius function by trial factorization; n stays tiny here."""
     if n < 1:
         raise ValueError("mobius is defined for positive integers")
-    result = 1
-    p = 2
-    while p * p <= n:
+    result, p = 1, 2
+    while n > 1:
         if n % p == 0:
             n //= p
             if n % p == 0:
                 return 0
             result = -result
         p += 1
-    if n > 1:
-        result = -result
     return result
-
-
-def _mul_add(acc: dict, a: Mapping, b: Mapping, shift: int = 0, sign: int = 1) -> dict:
-    """Add sign * v^shift * a * b into acc and return acc.
-
-    sign is any integer factor: a sign, or a sign times the size of an orbit.
-    """
-    for p1, c1 in a.items():
-        p1 += shift
-        if sign != 1:
-            c1 *= sign
-        for p2, c2 in b.items():
-            acc[p1 + p2] = acc.get(p1 + p2, 0) + c1 * c2
-    return acc
 
 
 def _mul(a: Mapping[int, Scalar], b: Mapping[int, Scalar]) -> dict[int, Scalar]:
     """Product of two Laurent polynomials given as {v-power: coefficient}."""
-    return _mul_add({}, a, b)
+    out: dict[int, Scalar] = {}
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            out[p1 + p2] = out.get(p1 + p2, 0) + c1 * c2
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +190,7 @@ class HalfLaurent:
     def __pow__(self, n: int) -> "HalfLaurent":
         if n < 0:
             raise ValueError("negative power of a Laurent polynomial is not polynomial")
-        result = HalfLaurent.one()
-        for _ in range(n):
-            result = result * self
-        return result
+        return math.prod([self] * n, start=HalfLaurent.one())
 
     def is_q_polynomial(self) -> bool:
         """True when this is a polynomial in q = v^2 (even nonnegative powers)."""
@@ -263,17 +247,43 @@ def _as_laurent(x):
 
 
 # ---------------------------------------------------------------------------
-# integer polynomials: dense coefficient lists, constant term first
+# integer polynomials, dense: (low, c) is sum_k c[k] v^(low + k), no zero at an end of c
+Dense = tuple[int, list[int]]
 
 
-def _dense(l: Mapping[int, int]) -> tuple[int, list[int]]:
-    """(valuation, coefficients of l / v^valuation) of {v-power: int}; zeros may be given."""
+def _dense(l: Mapping[int, int]) -> Dense:
+    """The dense form of {v-power: int}; zeros may be given."""
     powers = [p for p, c in l.items() if c]
     low = min(powers, default=0)
     out = [0] * (max(powers, default=low - 1) - low + 1)
     for p in powers:
         out[p - low] = l[p]
     return low, out
+
+
+def _trimmed(low: int, coeffs: list[int]) -> Dense:
+    """The dense form of sum_k coeffs[k] v^(low + k), zeros at either end allowed."""
+    nonzero = [k for k, c in enumerate(coeffs) if c]
+    if not nonzero:
+        return 0, []
+    return low + nonzero[0], coeffs[nonzero[0] : nonzero[-1] + 1]
+
+
+def _one_minus(f: Dense, k: int) -> Dense:
+    """(1 - v^k) f, for k != 0."""
+    low, c = f
+    if not c:
+        return f
+    a, b = c + [0] * abs(k), [0] * abs(k) + c
+    return (low, list(map(sub, a, b))) if k > 0 else (low + k, list(map(sub, b, a)))
+
+
+def _stretched(f: Dense, m: int) -> Dense:
+    """f(v^m), for m >= 1."""
+    low, coeffs = f
+    out = [0] * (m * len(coeffs) - m + 1)
+    out[::m] = coeffs
+    return low * m, out
 
 
 def _primitive(a: list[int]) -> list[int]:
@@ -340,20 +350,16 @@ def _bias(n: int, width: int) -> int:
     return int.from_bytes((1 << (width - 1)).to_bytes(width // 8, "little") * n, "little")
 
 
-def _pack(l: Mapping[int, int], width: int, step: int = 1) -> tuple[int, int]:
-    """(low, x) of {v-power: int} in y = v^(-step); every power must be a multiple of step."""
-    if not l:
-        return 0, 0
-    low, size, half = -max(l) // step, width // 8, 1 << (width - 1)
-    digits = [half] * (-min(l) // step - low + 1)
-    for p, c in l.items():
-        digits[-p // step - low] += c
-    raw = b"".join(c.to_bytes(size, "little") for c in digits)
-    return low, int.from_bytes(raw, "little") - _bias(len(digits), width)
+def _pack(f: Dense, width: int) -> tuple[int, int]:
+    """(low, x) of a dense f in y = v^-1; big-endian, the lowest power of v is the top digit."""
+    low, coeffs = f
+    size, half = width // 8, 1 << (width - 1)
+    raw = b"".join((half + c).to_bytes(size, "big") for c in coeffs)
+    return -(low + len(coeffs) - 1), int.from_bytes(raw, "big") - _bias(len(coeffs), width)
 
 
-def _unpack(low: int, x: int, width: int, step: int = 1) -> dict[int, int]:
-    """{v-power: int} of a packed (low, x) in y = v^(-step), zeros dropped.
+def _unpack(low: int, x: int, width: int, step: int = 1) -> Dense:
+    """The dense form of a packed (low, x) in y = v^(-step).
 
     Every coefficient must lie in (-2^(width - 1), 2^(width - 1)). Then n =
     bit_length(|x|) // width + 1 digits hold x, and adding _bias(n) turns
@@ -362,13 +368,10 @@ def _unpack(low: int, x: int, width: int, step: int = 1) -> dict[int, int]:
     """
     size, half = width // 8, 1 << (width - 1)
     n = abs(x).bit_length() // width + 1
-    raw = (x + _bias(n, width)).to_bytes(n * size, "little")
-    out = {}
-    for k in range(n):
-        c = int.from_bytes(raw[k * size : (k + 1) * size], "little") - half
-        if c:
-            out[-step * (low + k)] = c
-    return out
+    # big-endian, so from the top digit, y^(low + n - 1), down: from the lowest power of v^step up
+    raw = (x + _bias(n, width)).to_bytes(n * size, "big")
+    digits = [int.from_bytes(raw[k : k + size], "big") - half for k in range(0, len(raw), size)]
+    return _stretched(_trimmed(-low - n + 1, digits), step)
 
 
 # ---------------------------------------------------------------------------
@@ -399,13 +402,13 @@ class RatFunc:
         a, b = (
             {p: c.numerator * (scale // c.denominator) for p, c in l.coeffs.items()} for l in (num, den)
         )
-        return cls._from_integers(a, b)
+        return cls._from_integers(_dense(a), _dense(b))
 
     @classmethod
-    def _from_integers(cls, num: Mapping[int, int], den: Mapping[int, int]) -> "RatFunc":
-        """num / den for integer Laurent polynomials {v-power: int}, canonicalized: the
-        gcd is divided out in integers, and one rational scaling makes den monic."""
-        (low_a, a), (low_b, b) = _dense(num), _dense(den)
+    def _from_integers(cls, num: Dense, den: Dense) -> "RatFunc":
+        """num / den for dense integer Laurent polynomials, canonicalized: the gcd
+        is divided out in integers, and one rational scaling makes den monic."""
+        (low_a, a), (low_b, b) = num, den
         if not b:
             raise ZeroDivisionError("rational function with zero denominator")
         if not a:

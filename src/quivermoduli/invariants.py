@@ -7,20 +7,20 @@ logarithm, and the two independent routes to the intersection-cohomology
 Poincare polynomial. Both p and the DT invariants run in integer Laurent
 polynomials in v, Gaussian-normalized: the coefficient at e is kept
 multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). No gcd is
-taken on the way. Inside the two recursions each value is packed (see
-halfq): its lowest power and one int, the polynomial evaluated at y =
-2^width, in y = v^-2 for the HN recursion, whose powers are all even, and
-in y = v^-1 for the DT log. A step is one product of ints. Evaluation at y
-is a ring map, so the packed sums are exact whatever the width; the width
-only has to make each result decode to the right coefficients, and
-_widths fixes it per call from l1-norm bounds (Fubini numbers) that
-every coefficient of the call obeys. Each result is decoded once, to
-{v-power: int}. p and each DT invariant are canonicalized once, by one
-gcd in RatFunc._from_integers; the Betti polynomial and the sign-twisted DT
-invariant are polynomials, one exact division each. Both recursions run
-over orbits: vertices that a swap leaves interchangeable give equal values
-on every cell of an orbit, so one canonical cell per orbit is computed, and
-a step stands for a whole orbit of pairs. The routes are
+taken on the way. The integers take the two forms of halfq. Inside the
+two recursions each value is packed: its lowest power and one int, the
+polynomial at y = 2^width, in y = v^-2 for the HN recursion, whose powers
+are all even, and in y = v^-1 for the DT log, so a step is one product of
+ints. Evaluation at y is a ring map, so the sums are exact whatever the
+width; _widths fixes the width per call from l1-norm bounds (Fubini
+numbers), so that each result decodes exactly. Each result is decoded
+once, into a dense coefficient list, and finished there by list
+operations: p and each DT invariant by one gcd in RatFunc._from_integers,
+the Betti polynomial and the sign-twisted DT invariant by one exact
+division. Both recursions run over orbits: vertices that a swap leaves
+interchangeable give equal values on every cell of an orbit, so one
+canonical cell per orbit is computed, and a step stands for a whole orbit
+of pairs. The routes are
 
 * the DT route, a sign-twisted DT invariant, valid when the form is
   symmetric on the kernel of the stability;
@@ -36,7 +36,7 @@ from collections.abc import Callable, Iterable
 from functools import cache
 from itertools import chain, combinations_with_replacement, groupby, islice, product, repeat
 from math import comb, factorial, prod
-from operator import getitem, itemgetter, mul, sub
+from operator import add, getitem, itemgetter, mul, sub
 
 from .core import (
     DEFAULT_MAX_BOX,
@@ -52,14 +52,15 @@ from .core import (
 from .deform import is_generic_deformation
 from .errors import InternalCheckError, PreconditionError
 from .halfq import (
+    Dense,
     HalfLaurent,
     RatFunc,
-    _dense,
     _exact_quotient,
     _mobius,
-    _mul,
-    _mul_add,
+    _one_minus,
     _pack,
+    _stretched,
+    _trimmed,
     _unpack,
 )
 
@@ -177,13 +178,13 @@ def _orbits(
 
 def _hn_numerators(
     q: Quiver, d: DimVector, theta: Stability, max_box: int
-) -> tuple[dict[DimVector, dict[int, int]], Callable, Callable]:
+) -> tuple[dict[DimVector, tuple[int, int]], Callable, Callable]:
     """Harder-Narasimhan recursion over the canonical cells of the box [0, d].
 
     Returns G(e) = -[e]! p_e for every canonical nonzero e <= d (see
-    _orbits) with slope(e) = slope(d), as an integer Laurent polynomial
-    {k: coefficient of v^k}, where [e]! = prod_i prod_{j=1}^{e_i} (1 -
-    v^(-2j)); then the canon and walk of _orbits, which the DT log reuses.
+    _orbits) with slope(e) = slope(d), packed in y = v^-2 at the width
+    _widths(|d|)[0], where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j));
+    then the canon and walk of _orbits, which the DT log reuses.
     See p_poly for the sum and the recursion. G is constant on orbits, so a
     cell S steps once per orbit of its sub-box, weighted by the orbit's
     size, at G(canon T). For T <= S, canon T <= S too, so visiting the
@@ -209,7 +210,7 @@ def _hn_numerators(
     cells, canon, walk = _orbits(euler, d, tnorm)
     # cells that may end a proper partial sum, with their packed G values
     sources = {(0,) * len(dc): (0, 1)}
-    numerators: dict[DimVector, dict[int, int]] = {}
+    numerators: dict[DimVector, tuple[int, int]] = {}
     for s in islice(cells, 1, None):  # the first cell is 0
         weight = sum(map(mul, weights, s))
         # slope(s) > slope(d), in integers
@@ -236,18 +237,17 @@ def _hn_numerators(
         if weight > 0:
             sources[s] = value
         else:
-            numerators[DimVector(s)] = _unpack(*value, width, 2)
+            numerators[DimVector(s)] = value
     return numerators, canon, walk
 
 
-def _factorial(e: Iterable[int], m: int = 0) -> dict[int, int]:
-    """prod_i prod_{j <= e_i, m not dividing j} (1 - v^(-2j)); [e]! when m = 0."""
-    out = {0: 1}
+def _factorial(e: Iterable[int], m: int, f: Dense) -> Dense:
+    """f prod_i prod_{j <= e_i, m not dividing j} (1 - v^(-2j)); f [e]! when m = 0."""
     for di in e:
         for j in range(1, di + 1):
             if not m or j % m:
-                out = _mul(out, {0: 1, -2 * j: -1})
-    return out
+                f = _one_minus(f, -2 * j)
+    return f
 
 
 def p_poly(
@@ -282,16 +282,16 @@ def p_poly(
     and (k + 1)(k + 2) / 2 instead of 3^k on k interchangeable vertices of
     dimension 1.
     """
-    return -RatFunc._from_integers(_hn_numerators(q, d, theta, max_box)[0][d], _factorial(d))
+    g = _unpack(*_hn_numerators(q, d, theta, max_box)[0][d], _widths(d.total)[0], 2)
+    return -RatFunc._from_integers(g, _factorial(d, 0, (0, [1])))
 
 
-def _q_polynomial(num: dict[int, int], den: dict[int, int], what: str) -> HalfLaurent:
+def _q_polynomial(num: Dense, den: Dense, what: str) -> HalfLaurent:
     """num / den by one exact division in integers; it must be a polynomial in q."""
-    (low_a, a), (low_b, b) = _dense(num), _dense(den)
-    quot = _exact_quotient(a, b)
+    quot = _exact_quotient(num[1], den[1])
     if quot is None:
         raise InternalCheckError(f"{what} is not a Laurent polynomial with integer coefficients")
-    value = HalfLaurent({p + low_a - low_b: c for p, c in enumerate(quot)})
+    value = HalfLaurent({p + num[0] - den[0]: c for p, c in enumerate(quot)})
     if not value.is_q_polynomial():
         raise InternalCheckError(f"{what} is not a polynomial in q: {value.pretty()}")
     return value
@@ -309,9 +309,9 @@ def betti_coprime(
     tnorm = normalize_stability(theta, d)
     if not is_coprime(tnorm, d, max_box):
         raise PreconditionError("stability not coprime for d")
-    # (q - 1) p = (v^2 - 1) (-G(d)) / [d]!, one exact division
-    g = _hn_numerators(q, d, theta, max_box)[0][d]
-    return _q_polynomial(_mul({2: -1, 0: 1}, g), _factorial(d), "(q - 1) * p")
+    # (q - 1) p = (1 - v^2) G(d) / [d]!, one exact division
+    g = _unpack(*_hn_numerators(q, d, theta, max_box)[0][d], _widths(d.total)[0], 2)
+    return _q_polynomial(_one_minus(g, 2), _factorial(d, 0, (0, [1])), "(q - 1) * p")
 
 
 def dt_invariants(
@@ -325,13 +325,12 @@ def dt_invariants(
     pass of the recursion of p_poly over the box of d: with the normalized
     weight, the partial-sum condition is positivity for every such e.
 
-    Every coefficient at e is kept multiplied by [e]! as an integer
-    Laurent polynomial in v, packed in v^-1 while the log runs (see
-    _dt_logs; the width of _widths bounds every coefficient of M, so its
-    one decode is exact), so S_N(e) = -(-v)^(form(e,e)) G(e), and a
-    product of series becomes a convolution with Gaussian binomials:
-    (AB)_N(e) = sum_{e1 + e2 = e} [e choose e1] A_N(e1) B_N(e2). The grading
-    derivation t^e -> |e| t^e turns D S = S * D(log S) into
+    Every coefficient at e is kept multiplied by [e]! as an integer Laurent
+    polynomial in v, packed in v^-1 while the log runs (see _dt_logs), so
+    S_N(e) = -(-v)^(form(e,e)) G(e), and a product of series becomes a
+    convolution with Gaussian binomials: (AB)_N(e) = sum_{e1 + e2 = e}
+    [e choose e1] A_N(e1) B_N(e2). The grading derivation t^e -> |e| t^e
+    turns D S = S * D(log S) into
 
         M(e) = |e| S_N(e) - sum_{0 < e1 < e} [e choose e1] M(e1) S_N(e - e1)
 
@@ -342,10 +341,10 @@ def dt_invariants(
 
         |e| [e]! (Log S)_e = sum_{m | e} mu(m) M(e/m)(v -> v^m) [e]! / [e/m]!(v -> v^m),
 
-    and the last factor is _factorial(e, m). No gcd is taken until the end:
-    each invariant is canonicalized once, by one RatFunc._from_integers with
-    denominator |e| [e]!, at the canonical e of its orbit; every e of the
-    orbit shares that one value.
+    and _factorial(e, m, f) multiplies f by the last factor. No gcd is
+    taken until the end: each invariant is canonicalized once, by one
+    RatFunc._from_integers with denominator |e| [e]!, at the canonical e of
+    its orbit; every e of the orbit shares that one value.
     """
     logs, canon = _dt_logs(q, theta, d, max_box)
     values = {s: RatFunc._from_integers(*_dt_value(s, logs)) for s in logs}
@@ -358,18 +357,18 @@ def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> tuple[d
 
     S_N and M mix even and odd powers of v, so they are packed in y = v^-1,
     at the width of _widths, which bounds every coefficient of M; the
-    binomials are the rows of _binomials at twice that width. Each M(e) is
-    decoded once, at the end.
+    binomials are the rows of _binomials at twice that width. Each G(e) is
+    decoded once and packed again at this width, each M(e) decoded at the end.
     """
     tnorm = normalize_stability(theta, d)
     numerators, canon, walk = _hn_numerators(q, d, tnorm, max_box)
-    width = _widths(d.total)[1]
+    g_width, width = _widths(d.total)
     table = _binomials(max(d.coords), 2 * width)
     # S_N(e) = -(-v)^form(e,e) G(e)
     series: dict[tuple[int, ...], tuple[int, int]] = {}
     for e, g in numerators.items():
         form_ee = q.euler_form(e, e)
-        low, x = _pack(g, width)
+        low, x = _pack(_unpack(*g, g_width, 2), width)
         series[e.coords] = (low - form_ee, x if form_ee % 2 else -x)
     # M(e), canonical cells in ascending lexicographic order, so every
     # canon e1 != e comes first; one weighted step per orbit, as in G
@@ -392,19 +391,22 @@ def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> tuple[d
     return {s: _unpack(*value, width) for s, value in logs.items()}, canon
 
 
-def _dt_value(s: tuple[int, ...], logs: dict) -> tuple[dict[int, int], dict[int, int]]:
-    """DT_e at the canonical e = s of dt_invariants from the M of _dt_logs,
-    as (num, den), integer Laurent polynomials."""
-    acc: dict[int, int] = {}  # |e| [e]! (Log S)_e
-    for m in range(1, max(s) + 1):
-        mu = _mobius(m)
-        if not mu or any(si % m for si in s):
-            continue
-        term = {p * m: c for p, c in logs[tuple(si // m for si in s)].items()}
-        _mul_add(acc, term, _factorial(s, m), sign=mu)
-    den = {p: sum(s) * c for p, c in _factorial(s).items()}
-    # DT_e = (v^-1 - v) (Log S)_e, the factor applied in integers
-    return _mul({-1: 1, 1: -1}, acc), den
+def _dt_value(s: tuple[int, ...], logs: dict) -> tuple[Dense, Dense]:
+    """DT_e at the canonical e = s of dt_invariants from the M of _dt_logs, as
+    dense (num, den); each factor of _factorial is one list operation."""
+    terms = [
+        (mu, _factorial(s, m, _stretched(logs[tuple(si // m for si in s)], m)))
+        for m in range(1, max(s) + 1)
+        if not any(si % m for si in s) and (mu := _mobius(m))
+    ]
+    # their sum is |e| [e]! (Log S)_e
+    low = min(at for _, (at, _) in terms)
+    acc = [0] * (max(at + len(c) for _, (at, c) in terms) - low)
+    for mu, (at, c) in terms:
+        i = at - low
+        acc[i : i + len(c)] = map(add if mu > 0 else sub, acc[i : i + len(c)], c)
+    # DT_e = (v^-1 - v) (Log S)_e = (1 - v^2) v^-1 (Log S)_e
+    return _one_minus(_trimmed(low - 1, acc), 2), _factorial(s, 0, (0, [sum(s)]))
 
 
 def ic_poincare_dt(
@@ -420,12 +422,10 @@ def ic_poincare_dt(
     """
     tnorm = normalize_stability(theta, d)
     if not symmetric_on_kernel(q, tnorm):
-        raise PreconditionError(
-            "form is not symmetric on the kernel of the stability"
-        )
+        raise PreconditionError("form is not symmetric on the kernel of the stability")
     num, den = _dt_value(d.coords, _dt_logs(q, theta, d, max_box)[0])
     k = 1 - q.euler_form(d, d)
-    twisted = {p + k: -c if k % 2 else c for p, c in num.items()}  # (-v)^k num
+    twisted = num[0] + k, [-c for c in num[1]] if k % 2 else num[1]  # (-v)^k num
     return _q_polynomial(twisted, den, "sign-twisted DT invariant")
 
 
@@ -446,11 +446,7 @@ def ic_poincare_resolution(
     tnorm = normalize_stability(theta, d)
     verdict = is_generic_deformation(tnorm, theta_prime, d, max_box)
     if not verdict.passed:
-        raise PreconditionError(
-            f"deformed stability is not a generic deformation: {verdict.violations[:3]}"
-        )
+        raise PreconditionError(f"deformed stability is not a generic deformation: {verdict}")
     if not symmetric_on_kernel(q, tnorm):
-        raise PreconditionError(
-            "form is not symmetric on the kernel of the stability"
-        )
+        raise PreconditionError("form is not symmetric on the kernel of the stability")
     return betti_coprime(q, d, theta_prime, max_box)

@@ -10,10 +10,14 @@ differential tests share.
 
 ``hn_values_by_cells``, ``hn_numerators_by_cells`` and ``dt_logs_by_cells``
 run that recursion and the DT log over every cell of the box, one step per
-pair T <= S, on {v-power: int} dicts with the Gaussian binomials of
-``binomials_by_dicts``. The package runs them over one cell per orbit of
-interchangeable vertices, on polynomials packed into ints;
+pair T <= S, on {v-power: int} dicts with ``mul_add`` and the Gaussian
+binomials of ``binomials_by_dicts``. The package runs them over one cell
+per orbit of interchangeable vertices, on polynomials packed into ints,
+and decodes each result into a dense coefficient list;
 ``repeated_vertex_problems`` draws inputs that have such orbits.
+``pack_by_dicts`` packs a dict at any step digit by digit, and
+``factorial_by_dicts`` is the q-factorial as a dict product, the oracles of
+the package's ``_unpack`` and ``_factorial``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,38 @@ from quivermoduli import (
     slope,
 )
 from quivermoduli.core import sub_box
-from quivermoduli.halfq import _mul, _mul_add
+from quivermoduli.halfq import _mul
+
+
+def mul_add(acc: dict, a: dict, b: dict, shift: int = 0, sign: int = 1) -> dict:
+    """Add sign * v^shift * a * b into acc and return acc, all {v-power: int}.
+
+    sign is any integer factor: a sign, or a sign times the size of an orbit.
+    """
+    for p1, c1 in a.items():
+        for p2, c2 in b.items():
+            acc[p1 + p2 + shift] = acc.get(p1 + p2 + shift, 0) + sign * c1 * c2
+    return acc
+
+
+def pack_by_dicts(l: dict, width: int, step: int = 1) -> tuple[int, int]:
+    """(low, x) of {v-power: int} in y = v^(-step): x = sum_k c_k 2^(width k)
+    for the coefficient c_k of y^(low + k), added up digit by digit. Every
+    power of l must be a multiple of step."""
+    if not l:
+        return 0, 0
+    low = -max(l) // step
+    return low, sum(c << width * (-p // step - low) for p, c in l.items())
+
+
+def factorial_by_dicts(e, m: int = 0) -> dict:
+    """prod_i prod_{j <= e_i, m not dividing j} (1 - v^(-2j)) as {v-power: int}; [e]! when m = 0."""
+    out = {0: 1}
+    for di in e:
+        for j in range(1, di + 1):
+            if not m or j % m:
+                out = _mul(out, {0: 1, -2 * j: -1})
+    return out
 
 
 @dataclass(frozen=True)
@@ -176,7 +211,7 @@ def hn_values_by_cells(q: Quiver, d: DimVector, theta: Stability) -> dict[tuple[
         for t in sub_box(s):
             if t in values and (not any(t) or tnorm(DimVector(t)) > 0):
                 shift = 2 * (sum(a * b for a, b in zip(t, es)) - form_ss)
-                _mul_add(acc, values[t], binom(s, t), shift, -1)
+                mul_add(acc, values[t], binom(s, t), shift, -1)
         values[s] = {p: c for p, c in acc.items() if c}
     del values[(0,) * n]
     return values
@@ -209,7 +244,7 @@ def dt_logs_by_cells(q: Quiver, theta: Stability, d: DimVector) -> dict[tuple[in
         for t in sub_box(s):
             if t in logs:
                 rest = series[tuple(si - ti for si, ti in zip(s, t))]
-                _mul_add(acc, _mul(binom(s, t), logs[t]), rest, sign=-1)
+                mul_add(acc, _mul(binom(s, t), logs[t]), rest, sign=-1)
         logs[s] = {p: c for p, c in acc.items() if c}
     return logs
 

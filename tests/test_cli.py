@@ -548,6 +548,26 @@ class TestTooManyTypes:
         )
 
 
+class TestDeformationErrors:
+    def test_violations_are_named_by_coordinates_in_one_line(self, capsys, monkeypatch):
+        # (9, 9, -12) is nonzero on d and ties two proper cells: the error
+        # lists the first three violations with no Python repr in it
+        problem = {
+            "arrows": [[1, 2, 1], [2, 0, 3], [1, 3, 0]],
+            "dimension": [3, 4, 5],
+            "stability": [0, 0, 0],
+            "deformed_stability": [9, 9, -12],
+        }
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
+        code, out, err = run(capsys, ["ic", "-"])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1 and "DimVector(" not in err
+        assert err == (
+            "error: precondition: deformed stability is not a generic deformation: "
+            "nonzero_on_d (3, 4, 5), coprimality_tie (0, 3, 2), coprimality_tie (1, 2, 2)\n"
+        )
+
+
 def _rows_match_record_json(records):
     # the rows at three depths, in the strata and in the smallness wording,
     # indented and on one line

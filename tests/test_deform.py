@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from quivermoduli import (
     DimVector,
     EtaSearchExhausted,
+    InternalCheckError,
     PreconditionError,
     Stability,
     box_iter,
@@ -23,7 +24,8 @@ from quivermoduli import (
     normalize_stability,
 )
 import quivermoduli.core as core_module
-from quivermoduli.deform import _search_eta
+import quivermoduli.deform as deform_module
+from quivermoduli.deform import DeformationVerdict, _search_eta
 
 
 class TestIsGenericDeformation:
@@ -62,6 +64,16 @@ class TestIsGenericDeformation:
         assert not verdict.passed
         kinds = {kind for kind, _ in verdict.violations}
         assert "lost_negativity" in kinds
+
+    def test_str_names_the_first_three_violations_by_coordinates(self):
+        # theta' = 0 ties all six proper cells of (1, 1, 1) with d
+        verdict = is_generic_deformation(
+            Stability((0, 0, 0)), Stability((0, 0, 0)), DimVector((1, 1, 1))
+        )
+        assert len(verdict.violations) == 6
+        assert str(verdict) == (
+            "coprimality_tie (0, 0, 1), coprimality_tie (0, 1, 0), coprimality_tie (0, 1, 1)"
+        )
 
     def test_coprime_stability_deforms_itself(self):
         theta = Stability((1, -1))
@@ -165,6 +177,15 @@ class TestGenericDeformation:
         # the unpruned search, which takes about a minute on eight vertices
         d = DimVector(dims)
         assert generic_deformation(Stability((0,) * len(d)), d) == Stability(eta)
+
+    def test_failed_verification_is_one_line_without_reprs(self, monkeypatch):
+        failed = DeformationVerdict(False, (("coprimality_tie", DimVector((0, 1))),))
+        monkeypatch.setattr(deform_module, "is_generic_deformation", lambda *args: failed)
+        with pytest.raises(InternalCheckError) as info:
+            generic_deformation(Stability((0, 0)), DimVector((1, 1)))
+        assert str(info.value) == (
+            "constructed deformation (1, -1) failed verification: coprimality_tie (0, 1)"
+        )
 
     def test_output_self_validates(self):
         rng = random.Random(53)

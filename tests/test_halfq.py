@@ -17,7 +17,7 @@ from quivermoduli import (
     series_exp,
     series_log,
 )
-from quivermoduli.halfq import _mobius, _mul
+from quivermoduli.halfq import _dense, _mobius, _mul
 
 BOX22 = DimVector((2, 2))
 ZERO22 = DimVector((0, 0))
@@ -227,7 +227,7 @@ class TestFromRatioOracle:
         if multiple:
             num = _mul(num, den)
         num, den = _mul(num, factor), _mul(den, factor)
-        got = RatFunc._from_integers(num, den)
+        got = RatFunc._from_integers(_dense(num), _dense(den))
         want = from_ratio_by_euclid(HalfLaurent(num), HalfLaurent(den))
         assert (got.num.coeffs, got.den.coeffs, got.shift) == (
             want.num.coeffs,

@@ -3,6 +3,7 @@ from random import Random
 
 from hn_oracle import (
     dt_logs_by_cells,
+    factorial_by_dicts,
     hn_decompositions,
     hn_numerators_by_cells,
     hn_problems,
@@ -29,13 +30,14 @@ from quivermoduli import (
     symmetric_on_kernel,
 )
 from quivermoduli.core import DEFAULT_MAX_BOX, sub_box
-from quivermoduli.invariants import (
-    _dt_logs,
-    _dt_value,
-    _factorial,
-    _hn_numerators,
-    _orbits,
-)
+from quivermoduli.halfq import _dense, _unpack
+from quivermoduli.invariants import _dt_logs, _dt_value, _hn_numerators, _orbits, _widths
+
+
+def _laurent(f) -> HalfLaurent:
+    """The HalfLaurent of a dense (valuation, coefficients) pair."""
+    low, coeffs = f
+    return HalfLaurent({low + k: c for k, c in enumerate(coeffs)})
 
 
 class TestHnDecompositions:
@@ -136,23 +138,25 @@ class TestOrbitCompression:
         numerators, canon, _ = _hn_numerators(q, d, theta, DEFAULT_MAX_BOX)
         by_cells = hn_numerators_by_cells(q, d, theta)
         assert set(numerators) == {DimVector(canon(e.coords)) for e in by_cells}
+        width = _widths(d.total)[0]
         for e, g in by_cells.items():
-            assert numerators[DimVector(canon(e.coords))] == g
+            assert _unpack(*numerators[DimVector(canon(e.coords))], width, 2) == _dense(g)
         logs, canon = _dt_logs(q, theta, d, DEFAULT_MAX_BOX)
         logs_by_cells = dt_logs_by_cells(q, theta, d)
         assert set(logs) == {canon(e) for e in logs_by_cells}
         for e, m in logs_by_cells.items():
-            assert logs[canon(e)] == m
+            assert logs[canon(e)] == _dense(m)
 
-        p = RatFunc.from_ratio(-HalfLaurent(by_cells[d]), HalfLaurent(_factorial(d)))
+        p = RatFunc.from_ratio(-HalfLaurent(by_cells[d]), HalfLaurent(factorial_by_dicts(d)))
         assert p_poly(q, d, theta) == p
         if is_coprime(tnorm, d):
             betti = require_q_polynomial((RatFunc.q_power(1) - 1) * p, "(q - 1) * p")
         else:
             betti = PreconditionError
         assert _outcome(betti_coprime, q, d, theta) == betti
+        dense_logs = {e: _dense(m) for e, m in logs_by_cells.items()}
         dt = {
-            DimVector(e): RatFunc.from_ratio(*map(HalfLaurent, _dt_value(e, logs_by_cells)))
+            DimVector(e): RatFunc.from_ratio(*map(_laurent, _dt_value(e, dense_logs)))
             for e in logs_by_cells
         }
         assert list(dt_invariants(q, theta, d).items()) == list(dt.items())

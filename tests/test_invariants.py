@@ -2,8 +2,8 @@ from collections import Counter
 from math import gcd, prod
 
 import pytest
-from count_oracle import count_semistable_thin
-from hn_oracle import hn_problems, p_by_decompositions
+from count_oracle import count_semistable_point_configs_f2, count_semistable_thin, has_thin_stables
+from hn_oracle import factorial_by_dicts, hn_problems, mul_add, p_by_decompositions
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from ratfunc_oracle import from_ratio_by_euclid, integer_laurents, require_q_polynomial
@@ -17,6 +17,7 @@ from quivermoduli import (
     Quiver,
     RatFunc,
     Stability,
+    abelianized_quiver,
     betti_coprime,
     box_iter,
     dt_invariants,
@@ -32,7 +33,7 @@ from quivermoduli import (
     symmetric_on_kernel,
 )
 from quivermoduli import halfq
-from quivermoduli.halfq import _mul, _mul_add, _unpack
+from quivermoduli.halfq import _dense, _stretched, _unpack
 from quivermoduli.invariants import _binomials, _factorial, _q_polynomial
 
 
@@ -165,6 +166,49 @@ def test_betti_counts_the_points_of_thin_moduli(problem):
         assert eval_q(value, q0) == count_semistable_thin(quiver, theta_prime, q0)
 
 
+@st.composite
+def thin_symmetric_problems(draw):
+    """A symmetric quiver on 1-3 vertices with 0-2 arrows each way, d_i in
+    {1, 2} with |d| <= 4 and theta in [-2, 2]^n, abelianized: a thin
+    symmetric problem of at most 9 arrows, theta normalized on the all-ones d."""
+    n = draw(st.integers(1, 3))
+    matrix = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            matrix[i][j] = matrix[j][i] = draw(st.integers(0, 2))
+    coords = tuple(draw(st.integers(1, 2)) for _ in range(n))
+    assume(sum(coords) <= 4)
+    theta = Stability(tuple(draw(st.integers(-2, 2)) for _ in range(n)))
+    quiver, d, theta = abelianized_quiver(Quiver.from_matrix(matrix), DimVector(coords), theta)
+    assume(sum(map(sum, quiver.arrows)) <= 9)
+    return quiver, d, normalize_stability(theta, d)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(thin_symmetric_problems())
+# stables exist: the 3 x 3 torus quotient; none do: a vertex without arrows
+# to the others, which theta = 0 and theta = (1, 1, -2) cannot separate
+@example((complete_with_loops(3), DimVector((1, 1, 1)), Stability((0, 0, 0))))
+@example(
+    (Quiver.from_matrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]]), DimVector((1, 1, 1)), Stability((0, 0, 0)))
+)
+@example(
+    (Quiver.from_matrix([[0, 2, 0], [2, 1, 0], [0, 0, 0]]), DimVector((1, 1, 1)), Stability((1, 1, -2)))
+)
+def test_dt_route_counts_the_points_of_thin_moduli(problem):
+    # with stables, the IC polynomial counts the points of the small
+    # resolution by a generic deformation; without, DT_d = 0 (Meinhardt-Reineke)
+    quiver, d, theta = problem
+    value = ic_poincare_dt(quiver, d, theta)
+    if not has_thin_stables(quiver, theta):
+        assert value.is_zero
+        return
+    # on one vertex there is no proper subvector, so theta is generic already
+    theta_prime = generic_deformation(theta, d) if len(d) > 1 else theta
+    for q0 in (2, 3):
+        assert eval_q(value, q0) == count_semistable_thin(quiver, theta_prime, q0)
+
+
 class TestDtInvariants:
     def test_point(self):
         dt = dt_invariants(single_vertex(), Stability((0,)), DimVector((1,)))
@@ -208,43 +252,6 @@ class TestDtInvariants:
             twist = RatFunc.v_power(se) * (1 if se % 2 == 0 else -1)
             direct[e] = twist * p_by_decompositions(q, e, tnorm)
         assert pleth_exp(dt_series) == SlopeSeries(d, direct)
-
-
-def count_semistable_point_configs_f2(weights):
-    """Size-2-field count of semistable 4-tuples of vectors in a plane.
-
-    A subrepresentation is a set S of sources together with the span of
-    their vectors at the sink; semistability bounds the stability value
-    of every such pair by zero.
-    """
-    from itertools import combinations, product as iproduct
-
-    def span_dim(vecs):
-        basis = []
-        for v in vecs:
-            w = list(v)
-            for b in basis:
-                lead = next(i for i, x in enumerate(b) if x)
-                if w[lead]:
-                    w = [(a + c) % 2 for a, c in zip(w, b)]
-            if any(w):
-                basis.append(w)
-        return len(basis)
-
-    count = 0
-    for vs in iproduct(list(iproduct([0, 1], repeat=2)), repeat=4):
-        ok = True
-        for r in range(1, 5):
-            for S in combinations(range(4), r):
-                src = sum(weights[k] for k in S)
-                if src + weights[4] * span_dim([vs[k] for k in S]) > 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            count += 1
-    return count
 
 
 class TestIcPoincare:
@@ -362,8 +369,9 @@ class TestVCoordinateIdentities:
                 rest = s - t
                 packed = prod(table[si][ti] for si, ti in zip(s, t))
                 binom = _unpack(0, packed, 8, 2)
-                product = _mul(_mul(binom, _factorial(t)), _factorial(rest))
-                assert product == _factorial(s), (s, t)
+                # binom times [t]! times [s - t]!, each factor one list operation
+                product = _factorial(rest, 0, _factorial(t, 0, binom))
+                assert product == _factorial(s, 0, (0, [1])) == _dense(factorial_by_dicts(s)), (s, t)
                 pairs += 1
         assert pairs == 10 * 6 * 3  # prod_i (d_i + 1)(d_i + 2) / 2
 
@@ -374,8 +382,8 @@ class TestVCoordinateIdentities:
                 if any(si % m for si in s):
                     continue
                 quotient = DimVector(tuple(si // m for si in s))
-                stretched = {p * m: c for p, c in _factorial(quotient).items()}
-                assert _mul(_factorial(s, m), stretched) == _factorial(s), (s, m)
+                stretched = _stretched(_factorial(quotient, 0, (0, [1])), m)
+                assert _factorial(s, m, stretched) == _factorial(s, 0, (0, [1])), (s, m)
                 steps.add((s.coords, m))
         assert {((2, 2, 0), 2), ((3, 0, 0), 3), ((1, 2, 1), 1)} <= steps
 
@@ -511,9 +519,9 @@ class TestExactDivision:
         # extra = 0 and scale divides quot, and a polynomial in q when in_q
         if in_q:
             quot = {2 * abs(p): c for p, c in quot.items()}
-        num = _mul_add(dict(extra), den, quot)
+        num = mul_add(dict(extra), den, quot)
         den = {p: scale * c for p, c in den.items()}
-        got = _outcome(_q_polynomial, num, den, "value")
+        got = _outcome(_q_polynomial, _dense(num), _dense(den), "value")
         oracle = from_ratio_by_euclid(HalfLaurent(num), HalfLaurent(den))
         want = _outcome(require_q_polynomial, oracle, "value")
         if isinstance(want, HalfLaurent):

@@ -1,12 +1,15 @@
 """The packed integer polynomials of halfq and the two recursions that run on them.
 
 The HN recursion and the DT log keep every value as one int, the polynomial
-evaluated at 2^width, at a width fixed per call by _widths. The unit tests
-check packing and decoding at the edges of a digit and the width bound on
-every cell of one problem. The properties compare the decoded values with
-the per-cell dict oracles of hn_oracle, both at the width of _widths and at
-the smallest width that holds the true values, where the largest
-coefficient of the call lies within a factor 2^8 of 2^(width - 1).
+evaluated at 2^width, at a width fixed per call by _widths, and decode each
+result once into a dense (valuation, coefficient list) pair. The unit tests
+check packing and decoding at the edges of a digit against the
+digit-by-digit packing of hn_oracle and the dense form of the dict, and
+_factorial against the dict product; the width bound is checked on every
+cell of one problem. The properties compare the decoded values with the
+per-cell dict oracles of hn_oracle, both at the width of _widths and at the
+smallest width that holds the true values, where the largest coefficient of
+the call lies within a factor 2^8 of 2^(width - 1).
 """
 
 from __future__ import annotations
@@ -14,15 +17,21 @@ from __future__ import annotations
 from math import comb
 from unittest import mock
 
-from hn_oracle import dt_logs_by_cells, hn_numerators_by_cells, hn_values_by_cells
+from hn_oracle import (
+    dt_logs_by_cells,
+    factorial_by_dicts,
+    hn_numerators_by_cells,
+    hn_values_by_cells,
+    pack_by_dicts,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quivermoduli import DimVector, Quiver, Stability, box_iter, normalize_stability
 from quivermoduli import invariants
 from quivermoduli.core import DEFAULT_MAX_BOX
-from quivermoduli.halfq import _mul, _pack, _unpack
-from quivermoduli.invariants import _binomials, _widths
+from quivermoduli.halfq import _dense, _mul, _pack, _unpack
+from quivermoduli.invariants import _binomials, _factorial, _widths
 
 Q_A = Quiver.from_matrix([[0, 2, 1], [1, 0, 3], [2, 1, 0]])
 
@@ -35,13 +44,18 @@ def _largest(values) -> int:
 class TestPacking:
     """_pack and _unpack at the edges of a digit."""
 
-    WIDTHS = (8, 16, 24, 64, 80)
+    WIDTHS = range(8, 88, 8)
 
     def _round_trip(self, l, width, step):
-        low, x = _pack(l, width, step)
-        # x is the polynomial at y = 2^width, y = v^(-step)
-        assert x == sum(c << width * (-p // step - low) for p, c in l.items())
-        assert _unpack(low, x, width, step) == {p: c for p, c in l.items() if c}
+        # the digit-by-digit packing at any step decodes to the dense form of l
+        want = _dense(l)
+        assert _unpack(*pack_by_dicts(l, width, step), width, step) == want
+        if step == 1:
+            # _pack packs that dense form as the digits of its nonzero coefficients
+            nonzero = {p: c for p, c in l.items() if c}
+            if nonzero:
+                assert _pack(want, width) == pack_by_dicts(nonzero, width)
+            assert _unpack(*_pack(want, width), width) == want
 
     def test_largest_digits(self):
         for width in self.WIDTHS:
@@ -53,11 +67,14 @@ class TestPacking:
 
     def test_zero(self):
         for width in self.WIDTHS:
-            assert _pack({}, width) == (0, 0)
-            assert _unpack(0, 0, width) == {}
-            assert _unpack(-5, 0, width, 2) == {}
-            # zero digits inside and a zero coefficient given explicitly
-            self._round_trip({4: 1, 2: 0, -6: -1}, width, 2)
+            assert _unpack(0, 0, width) == (0, [])
+            assert _unpack(-5, 0, width, 2) == (0, [])
+            assert _unpack(*_pack((0, []), width), width) == (0, [])
+            self._round_trip({}, width, 1)
+            for step in (1, 2):
+                # zero digits inside and a zero coefficient given explicitly, at either end too
+                self._round_trip({4: 1, 2: 0, -6: -1}, width, step)
+                self._round_trip({8: 0, 4: 1, -6: -1, -10: 0}, width, step)
 
     def test_negative_top_digit(self):
         # the top digit is the lowest power of v: its sign borrows from nothing above it
@@ -71,10 +88,22 @@ class TestPacking:
         for width in self.WIDTHS:
             for c in (1 << (width - 1), -(1 << (width - 1)) - 1):
                 try:
-                    _pack({0: c}, width)
+                    _pack((0, [c]), width)
                 except OverflowError:
                     continue
                 raise AssertionError(f"{c} packed at width {width}")
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.integers(-12, 12),
+        st.lists(st.integers(-(10**6), 10**6), max_size=8),
+        st.sampled_from(range(24, 88, 8)),
+    )
+    @example(0, [], 24)
+    @example(-3, [0, 5, 0, -7, 0], 24)
+    def test_pack_then_unpack_returns_the_input(self, low, coeffs, width):
+        f = _dense({low + k: c for k, c in enumerate(coeffs)})
+        assert _unpack(*_pack(f, width), width) == f
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -86,19 +115,35 @@ class TestPacking:
         na, nb = sum(map(abs, a.values())), sum(map(abs, b.values()))
         bound = max(na, nb, na * nb)
         width = 8 * (bound.bit_length() // 8 + 1)
-        (la, xa), (lb, xb) = _pack(a, width), _pack(b, width)
-        want = {p: c for p, c in _mul(a, b).items() if c}
-        assert _unpack(la + lb, xa * xb, width) == want
+        (la, xa), (lb, xb) = _pack(_dense(a), width), _pack(_dense(b), width)
+        assert _unpack(la + lb, xa * xb, width) == _dense(_mul(a, b))
 
     def test_binomial_rows_decode_to_gaussian_binomials(self):
         # [4 choose 2] = 1 + v^-2 + 2 v^-4 + v^-6 + v^-8
         table = _binomials(6, 8)
-        assert _unpack(0, table[4][2], 8, 2) == {0: 1, -2: 1, -4: 2, -6: 1, -8: 1}
+        assert _unpack(0, table[4][2], 8, 2) == _dense({0: 1, -2: 1, -4: 2, -6: 1, -8: 1})
         for n, row in enumerate(table):
             for k, x in enumerate(row):
-                coeffs = _unpack(0, x, 8, 2)
-                assert sum(coeffs.values()) == comb(n, k)
-                assert coeffs == {-k * (n - k) * 2 - p: c for p, c in coeffs.items()}  # palindromic
+                low, coeffs = _unpack(0, x, 8, 2)
+                assert sum(coeffs) == comb(n, k)
+                # palindromic, from v^(-2k(n - k)) to v^0
+                assert (low, low + len(coeffs) - 1) == (-2 * k * (n - k), 0)
+                assert coeffs == coeffs[::-1]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    st.tuples(*[st.integers(0, 4)] * 3),
+    st.integers(0, 4),
+    st.dictionaries(st.integers(-12, 12), st.integers(-50, 50), max_size=6),
+)
+@example((4, 4, 4), 0, {0: 1})
+@example((4, 4, 4), 4, {3: -2, 0: 0, -5: 1})
+@example((4, 3, 2), 2, {})
+@example((0, 0, 0), 3, {1: 7})
+def test_factorial_multiplies_by_the_q_factorial(e, m, poly):
+    # f times prod_i prod_{j <= e_i, m not dividing j} (1 - v^(-2j)), by list operations
+    assert _factorial(e, m, _dense(poly)) == _dense(_mul(poly, factorial_by_dicts(e, m)))
 
 
 class TestWidths:
@@ -166,7 +211,8 @@ def _smallest_width(values) -> int:
 
 def _check(q, d, theta, at_the_edge):
     """The packed recursions against the per-cell dict oracles, at every cell
-    of each orbit. at_the_edge runs them at the smallest widths that decode
+    of each orbit: the numerators decoded at the width of G, and the dense M
+    of the DT log. at_the_edge runs them at the smallest widths that decode
     the oracles' values; only returned values are decoded, so the sources
     of the HN recursion need not fit."""
     numerators = hn_numerators_by_cells(q, d, theta)
@@ -178,9 +224,10 @@ def _check(q, d, theta, at_the_edge):
         got, canon, _ = invariants._hn_numerators(q, d, theta, DEFAULT_MAX_BOX)
         got_logs, _ = invariants._dt_logs(q, theta, d, DEFAULT_MAX_BOX)
     assert set(got) == {DimVector(canon(e.coords)) for e in numerators}
-    assert all(got[DimVector(canon(e.coords))] == g for e, g in numerators.items())
+    for e, g in numerators.items():
+        assert _unpack(*got[DimVector(canon(e.coords))], widths[0], 2) == _dense(g)
     assert set(got_logs) == {canon(e) for e in logs}
-    assert all(got_logs[canon(e)] == m for e, m in logs.items())
+    assert all(got_logs[canon(e)] == _dense(m) for e, m in logs.items())
     return numerators, logs
 
 
