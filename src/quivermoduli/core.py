@@ -384,7 +384,7 @@ def moduli_dim(q: Quiver, d: DimVector) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact linear algebra over the rationals
+# the skew form: its rank, and its restriction to the kernel of a stability
 
 
 def _integer_rank(rows: list[list[int]]) -> int:
@@ -413,52 +413,26 @@ def skew_rank(q: Quiver) -> int:
     return _integer_rank(q.skew_matrix())
 
 
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quot = old_r // r
-        old_r, r = r, old_r - quot * r
-        old_s, s = s, old_s - quot * s
-        old_t, t = t, old_t - quot * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _gcd_combination(weights: tuple[int, ...]) -> tuple[int, list[int]]:
-    """gcd g of the weights and an integer vector x with sum x_i w_i = g."""
-    g = 0
-    coeffs = [0] * len(weights)
-    for i, w in enumerate(weights):
-        g2, s, t = _ext_gcd(g, w)
-        coeffs = [s * c for c in coeffs]
-        coeffs[i] = t
-        g = g2
-    return g, coeffs
-
-
 def symmetric_on_kernel(q: Quiver, theta: Stability) -> bool:
     """Whether the bilinear form is symmetric on the kernel of theta.
 
-    For theta = 0 the antisymmetrized form S must vanish. Otherwise let
-    theta' = theta / gcd and v an integer vector with theta'(v) = 1, as in
-    eta_factorization. Splitting x = (x - theta'(x) v) + theta'(x) v shows
-    that S vanishes on the kernel iff S = eta (x) theta' - theta' (x) eta
-    with eta(x) = S(x, v). That is O(n^2) integer work on the skew matrix.
+    At theta = 0 that is q.is_symmetric. Otherwise let p be the first vertex
+    with theta_p != 0 and S the skew matrix. The vectors
+    b_i = theta_p e_i - theta_i e_p span the kernel over the rationals, and
+    S(b_i, b_j) = theta_p (theta_p S_ij - theta_j S_ip - theta_i S_pj), so the
+    form is symmetric there iff theta_p S_ij = theta_j S_ip + theta_i S_pj
+    for all i, j: n^2 integer comparisons.
     """
     q._check(theta)
-    skew = q.skew_matrix()
     if theta.is_zero:
-        return not any(any(row) for row in skew)
-    g, v = _gcd_combination(theta.weights)
-    t = [w // g for w in theta.weights]
-    eta = [sum(a * b for a, b in zip(row, v)) for row in skew]
+        return q.is_symmetric
+    t = theta.weights
+    p = next(i for i, w in enumerate(t) if w)
+    skew = q.skew_matrix()
+    top = skew[p]
     return all(
-        row[j] == eta[i] * t[j] - t[i] * eta[j]
-        for i, row in enumerate(skew)
+        t[p] * row[j] == t[j] * row[p] + ti * top[j]
+        for ti, row in zip(t, skew)
         for j in range(len(t))
     )
 
@@ -471,12 +445,10 @@ def eta_factorization(q: Quiver, theta: Stability) -> tuple[Fraction, ...]:
         antisym_form(d, e) = eta(d) * theta(e) - theta(d) * eta(e)
 
     for all d, e, which exists exactly when the form is symmetric on the
-    kernel of theta. Built from a vector v with (theta / gcd)(v) = 1, as in
-    symmetric_on_kernel, giving eta(x) = {x, v} / gcd; the result is then
-    reduced modulo theta so that the weight at theta's first nonzero
-    position is zero, which makes it canonical. The identity fixes eta up
-    to adding rational multiples of theta only, so no integer rescaling is
-    applied; weights stay exact rationals.
+    kernel of theta. The identity fixes eta up to rational multiples of
+    theta; the canonical eta vanishes at the pivot p of symmetric_on_kernel,
+    and the identity at (e_i, e_p) then reads eta_i = S_ip / theta_p. At
+    theta = 0 the canonical eta is 0.
     """
     q._check(theta)
     if not symmetric_on_kernel(q, theta):
@@ -485,14 +457,10 @@ def eta_factorization(q: Quiver, theta: Stability) -> tuple[Fraction, ...]:
         )
     n = q.n
     if theta.is_zero:
-        # symmetric_on_kernel already forced the whole skew form to vanish
         return (Fraction(0),) * n
     skew = q.skew_matrix()
-    g, v = _gcd_combination(theta.weights)
-    eta = [Fraction(sum(skew[i][j] * v[j] for j in range(n)), g) for i in range(n)]
-    p = next(i for i in range(n) if theta[i] != 0)
-    scale = eta[p] / theta[p]
-    eta = [x - scale * w for x, w in zip(eta, theta.weights)]
+    p = next(i for i, w in enumerate(theta.weights) if w)
+    eta = [Fraction(row[p], theta[p]) for row in skew]
     for i in range(n):
         for j in range(n):
             if skew[i][j] != eta[i] * theta[j] - theta[i] * eta[j]:

@@ -81,11 +81,6 @@ def is_generic_deformation(
     return DeformationVerdict(not violations, tuple(violations))
 
 
-def _coord_key(x: int) -> tuple[int, int]:
-    # orders each coordinate 0 < 1 < -1 < 2 < -2 < ...
-    return (abs(x), 0 if x >= 0 else 1)
-
-
 def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stability:
     """First integer covector vanishing on d and nonzero on the critical set.
 
@@ -150,7 +145,7 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
         return False
 
     for bound in range(1, max_norm + 1):
-        values = sorted(range(-bound, bound + 1), key=_coord_key)
+        values = [0] + [x for b in range(1, bound + 1) for x in (b, -b)]
         if walk(0, 0, bound, values):
             return Stability(tuple(eta))
     raise EtaSearchExhausted(max_norm)

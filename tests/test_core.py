@@ -290,6 +290,47 @@ def symmetric_by_kernel_basis(q, theta):
     )
 
 
+def ext_gcd(a, b):
+    """(g, s, t) with s*a + t*b = g = gcd(a, b), g >= 0, by the extended Euclid."""
+    old_r, r, old_s, s, old_t, t = a, b, 1, 0, 0, 1
+    while r:
+        quot = old_r // r
+        old_r, r = r, old_r - quot * r
+        old_s, s = s, old_s - quot * s
+        old_t, t = t, old_t - quot * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def eta_by_gcd_combination(q, theta):
+    """Oracle for eta_factorization on a form symmetric on the kernel.
+
+    Builds an integer v with theta(v) = g = gcd(theta) by the extended
+    Euclid over the weights, takes eta = S v / g, and reduces it modulo
+    theta so that it vanishes at theta's first nonzero weight.
+    """
+    n = q.n
+    if theta.is_zero:
+        return (Fraction(0),) * n
+    g, v = 0, [0] * n
+    for i, w in enumerate(theta.weights):
+        g, s, t = ext_gcd(g, w)
+        v = [s * c for c in v]
+        v[i] = t
+    eta = [Fraction(sum(a * b for a, b in zip(row, v)), g) for row in q.skew_matrix()]
+    p = next(i for i in range(n) if theta[i] != 0)
+    scale = eta[p] / theta[p]
+    return tuple(x - scale * w for x, w in zip(eta, theta.weights))
+
+
+# Q_P is symmetric on the kernel of THETA_P and Q_N is not; both have
+# theta_0 = 0, so the first nonzero weight is at vertex 1, and gcd(theta) = 2
+Q_P = Quiver.from_matrix([[1, 0, 1], [1, 0, 2], [0, 2, 0]])
+Q_N = Quiver.from_matrix([[1, 0, 1], [2, 0, 2], [0, 2, 0]])
+THETA_P = Stability((0, 2, -2))
+
+
 def random_kernel_problem(rng):
     """A quiver on 1-6 vertices and a stability, theta = 0 one time in four.
 
@@ -335,6 +376,11 @@ class TestSymmetricOnKernel:
     @pytest.mark.parametrize("m,n", [(1, 0), (3, 1), (2, 5)])
     def test_kronecker_balanced_stability(self, m, n):
         assert symmetric_on_kernel(kronecker(m, n), Stability((1, -1)))
+
+    def test_first_weight_zero(self):
+        assert symmetric_on_kernel(Q_P, THETA_P) and symmetric_by_kernel_basis(Q_P, THETA_P)
+        assert not symmetric_on_kernel(Q_N, THETA_P)
+        assert not symmetric_by_kernel_basis(Q_N, THETA_P)
 
     def test_zero_stability_iff_skew_vanishes(self):
         rng = random.Random(17)
@@ -393,6 +439,28 @@ class TestEtaFactorization:
     def test_asymmetric_kernel_rejected(self):
         with pytest.raises(PreconditionError):
             eta_factorization(kronecker(3, 1), Stability((0, 0)))
+        with pytest.raises(PreconditionError):
+            eta_factorization(Q_N, THETA_P)
+
+    def test_matches_gcd_combination_oracle(self):
+        rng = random.Random(2024)
+        checked = pivots = 0
+        for _ in range(400):
+            q, theta = random_kernel_problem(rng)
+            if symmetric_by_kernel_basis(q, theta):
+                eta = eta_factorization(q, theta)
+                assert eta == eta_by_gcd_combination(q, theta)
+                assert _eta_identity_holds(q, theta, eta)
+                checked += 1
+                pivots += theta[0] == 0 and not theta.is_zero
+        assert checked > 200 and pivots > 10
+
+    def test_first_weight_zero(self):
+        # the pivot is vertex 1, where the canonical eta vanishes
+        eta = eta_factorization(Q_P, THETA_P)
+        assert eta == (Fraction(1, 2), Fraction(0), Fraction(0))
+        assert eta == eta_by_gcd_combination(Q_P, THETA_P)
+        assert _eta_identity_holds(Q_P, THETA_P, eta)
 
 
 class TestNormalizeStability:
