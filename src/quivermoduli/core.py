@@ -185,7 +185,9 @@ class Quiver(_Record):
     arrows: tuple[tuple[int, ...], ...]
 
     def __init__(self, vertices: tuple[str, ...], arrows: tuple[tuple[int, ...], ...]):
-        vertices = tuple(str(v) for v in vertices)
+        vertices = tuple(vertices)
+        if not all(isinstance(v, str) for v in vertices):
+            raise TypeError("vertex names must be strings")
         arrows = tuple(tuple(map(operator.index, row)) for row in arrows)
         n = len(vertices)
         if len(set(vertices)) != n:

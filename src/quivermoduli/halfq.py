@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import sub
+from operator import index, sub
 from typing import Mapping, Union
 
 Scalar = Union[int, Fraction]
@@ -82,9 +82,11 @@ class HalfLaurent:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for power, c in coeffs.items():
-                c = Fraction(c)
+                power = index(power)
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
                 if c:
-                    clean[int(power)] = c
+                    clean[power] = Fraction(c)
         self.coeffs = clean
 
     @classmethod

@@ -44,9 +44,11 @@ class SlopeSeries:
                     raise ValueError("exponent length does not match the box")
                 if not e.leq(box):
                     raise ValueError(f"exponent {e} outside the box {box}")
-                c = _as_ratfunc(c)
-                if not c.is_zero:
-                    clean[e] = c
+                r = _as_ratfunc(c)
+                if r is NotImplemented:
+                    raise TypeError(f"a coefficient must be rational, not {type(c).__name__}")
+                if not r.is_zero:
+                    clean[e] = r
         self.terms = clean
 
     @classmethod

@@ -955,14 +955,15 @@ class TestPrettyView:
             assert "".join(_pretty_lines(payload)) == pretty_text(payload)
 
 
-def _cli_process(argv, stdout):
+def _cli_process(argv, stdout, stdin=None, text=True):
     env = {**os.environ, "PYTHONPATH": SRC}
     return subprocess.Popen(
         [sys.executable, "-m", "quivermoduli.cli", *argv],
+        stdin=stdin,
         stdout=stdout,
         stderr=subprocess.PIPE,
         env=env,
-        text=True,
+        text=text,
     )
 
 

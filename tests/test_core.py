@@ -502,7 +502,7 @@ class TestModuliDim:
 
 
 class TestNoTruncation:
-    """The value types take integers only; a float, string or Fraction is refused, not rounded."""
+    """The value types take integers and string vertex names only; anything else is refused, not coerced."""
 
     @pytest.mark.parametrize(
         "build",
@@ -515,6 +515,8 @@ class TestNoTruncation:
             pytest.param(lambda: Stability(("1", "-1")), id="Stability-str"),
             pytest.param(lambda: Quiver(("i", "j"), ((0, 1.9), (0, 0))), id="Quiver-float"),
             pytest.param(lambda: Quiver(("i", "j"), ((0, "2"), (0, 0))), id="Quiver-str"),
+            pytest.param(lambda: Quiver((0, 1), ((0, 1), (0, 0))), id="Quiver-int-names"),
+            pytest.param(lambda: Quiver((1, "1"), ((0, 1), (0, 0))), id="Quiver-mixed-names"),
             pytest.param(lambda: LunaType(((DimVector((1, 0)), 2.9),)), id="LunaType-float"),
             pytest.param(lambda: LunaType(((DimVector((1, 0)), Fraction(2)),)), id="LunaType-Fraction"),
             pytest.param(lambda: MarkedPartition((1.5, 1), 0), id="MarkedPartition-parts"),

@@ -52,6 +52,22 @@ class TestHalfLaurent:
         l = HalfLaurent({3: 0, 1: 2})
         assert l.coeffs == {1: Fraction(2)}
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [
+            pytest.param({2.5: 1}, id="float-power"),
+            pytest.param({"3": 1}, id="str-power"),
+            pytest.param({Fraction(2): 1}, id="Fraction-power"),
+            pytest.param({2.5: 0}, id="float-power-zero-coefficient"),
+            pytest.param({0: 0.1}, id="float-coefficient"),
+            pytest.param({0: 0.0}, id="float-zero-coefficient"),
+            pytest.param({0: "1/2"}, id="str-coefficient"),
+        ],
+    )
+    def test_non_integer_power_or_non_rational_coefficient_refused(self, coeffs):
+        with pytest.raises(TypeError):
+            HalfLaurent(coeffs)
+
     def test_operators_store_no_zeros(self):
         a = HalfLaurent({-1: 2, 0: Fraction(1, 3), 3: -5})
         assert (a + (-a)).coeffs == {} and (a - a).coeffs == {}
@@ -84,6 +100,10 @@ class TestHalfLaurent:
 
 
 class TestSlopeSeries:
+    def test_non_rational_coefficient_refused(self):
+        with pytest.raises(TypeError, match="float"):
+            SlopeSeries(DimVector((1,)), {DimVector((1,)): 0.5})
+
     def test_operators_store_no_zeros(self):
         rng = random.Random(7)
         s = random_series(rng)

@@ -18,27 +18,41 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(quivermoduli.__file__)))
 SERIES_NAMES = ("SlopeSeries", "adams", "pleth_exp", "pleth_log", "series_exp", "series_log")
 
 
-def fresh(code: str) -> str:
-    """stdout of code run in a new interpreter that imports the package from SRC."""
+def fresh(*args: str) -> str:
+    """stdout of a new interpreter run with args that imports the package from SRC.
+
+    It must exit 0 and write nothing to stderr.
+    """
     env = {**os.environ, "PYTHONPATH": SRC}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=60
     )
-    assert done.returncode == 0, done.stderr
+    assert (done.returncode, done.stderr) == (0, "")
     return done.stdout
 
 
 def test_cli_import_leaves_the_series_layer_out():
-    out = fresh(
+    # the CLI reads the common argv form in one pass and builds argparse only for
+    # the rest, and the value types are __slots__ classes, so neither argparse nor
+    # dataclasses may come back into the import
+    modules, unwanted = fresh(
+        "-c",
         "import sys, quivermoduli.cli\n"
-        "print(sorted(m for m in sys.modules if m.startswith('quivermoduli')))"
-    )
-    assert "quivermoduli.cli" in out and "quivermoduli.invariants" in out
-    assert "quivermoduli.series" not in out
+        "print(sorted(m for m in sys.modules if m.startswith('quivermoduli')))\n"
+        "print(sorted({'argparse', 'dataclasses'} & set(sys.modules)))",
+    ).splitlines()
+    assert "quivermoduli.cli" in modules and "quivermoduli.invariants" in modules
+    assert "quivermoduli.series" not in modules
+    assert unwanted == "[]"
+
+
+def test_cli_help_exits_0():
+    assert fresh("-m", "quivermoduli.cli", "--help").startswith("usage: ")
 
 
 def test_first_access_loads_the_series_layer():
     out = fresh(
+        "-c",
         "import sys, quivermoduli\n"
         "before = 'quivermoduli.series' in sys.modules\n"
         "quivermoduli.pleth_log\n"
