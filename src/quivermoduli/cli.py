@@ -633,7 +633,7 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         sys.stderr.write(f"error: internal-consistency: {exc}\n")
         return 3
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: input: {exc}\n")
         return 1
     if args.json:

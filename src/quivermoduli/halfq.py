@@ -14,10 +14,11 @@ Two layers over fractions.Fraction on an integer layer, all exact:
     ints. The HN recursion and the DT log of ``invariants`` run on them.
   - dense (valuation, coefficient list) pairs, into which ``_unpack``
     decodes each result once; ``invariants`` finishes them by list
-    operations and one gcd or exact division (``_prs_gcd``,
-    ``_exact_quotient``), and ``RatFunc.from_ratio`` reads Fraction dicts
-    into them by ``_dense``. The dict product with a shift and a sign and
-    the dict packing at any step are oracles in tests/hn_oracle.py.
+    operations and one exact division (``_exact_quotient``) or one
+    heuristic gcd (``_cofactors``: one integer gcd of packed values),
+    and ``RatFunc.from_ratio`` reads Fraction dicts into them by ``_dense``.
+    The dict product with a shift and a sign, the dict packing at any step
+    and the remainder-sequence gcd are oracles in tests/.
 
 The module imports nothing from the package. The box-truncated series
 built on ``RatFunc`` live in ``series``.
@@ -293,36 +294,6 @@ def _primitive(a: list[int]) -> list[int]:
     return a if g == 1 else [c // g for c in a]
 
 
-def _prs_gcd(a: list[int], b: list[int]) -> list[int]:
-    """The primitive gcd of two nonzero integer polynomials, up to sign.
-
-    Primitive polynomial remainder sequence: each pseudo-remainder is cut
-    to its primitive part, so coefficient growth does not compound along
-    the sequence. By Gauss's lemma the last nonzero remainder is, up to
-    sign, the primitive gcd over the rationals.
-    """
-    if len(a) < len(b):
-        a, b = b, a
-    a, b = _primitive(a), _primitive(b)
-    while len(b) > 1:
-        db, lb = len(b) - 1, b[-1]
-        r = list(a)
-        while len(r) > db:
-            c = r.pop()
-            g = math.gcd(c, lb)
-            c, m = c // g, lb // g
-            shift = len(r) - db
-            r = [x * m for x in r]
-            for i in range(db):
-                r[shift + i] -= c * b[i]
-            while r and not r[-1]:
-                r.pop()
-        if not r:
-            return b
-        a, b = b, _primitive(r)
-    return [1]
-
-
 def _exact_quotient(a: list[int], g: list[int]) -> list[int] | None:
     """a / g with integer coefficients, or None if the long division leaves a remainder."""
     a = list(a)
@@ -363,17 +334,42 @@ def _pack(f: Dense, width: int) -> tuple[int, int]:
 def _unpack(low: int, x: int, width: int, step: int = 1) -> Dense:
     """The dense form of a packed (low, x) in y = v^(-step).
 
-    Every coefficient must lie in (-2^(width - 1), 2^(width - 1)). Then n =
-    bit_length(|x|) // width + 1 digits hold x, and adding _bias(n) turns
-    each digit c into c + 2^(width - 1) in [1, 2^width), so no digit borrows
-    from the next one and each is read off as bytes.
+    Any int x decodes, into balanced digits c in [-2^(width - 1),
+    2^(width - 1)), so packed coefficients in that range come back. With n =
+    (bit_length(|x|) + 1) // width + 1, |x| < 2^(n width - 2), so x +
+    _bias(n) fits n digits, each c held as c + 2^(width - 1) in [0, 2^width)
+    with no borrow, and each is read off as bytes.
     """
     size, half = width // 8, 1 << (width - 1)
-    n = abs(x).bit_length() // width + 1
+    n = (abs(x).bit_length() + 1) // width + 1
     # big-endian, so from the top digit, y^(low + n - 1), down: from the lowest power of v^step up
     raw = (x + _bias(n, width)).to_bytes(n * size, "big")
     digits = [int.from_bytes(raw[k : k + size], "big") - half for k in range(0, len(raw), size)]
     return _stretched(_trimmed(-low - n + 1, digits), step)
+
+
+def _cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
+    """(a / g, b / g) for g a gcd of two integer polynomials with nonzero ends.
+
+    The heuristic gcd (Char, Geddes and Gonnet, J. Symbolic Comput. 7, 1989)
+    at x = 2^W, W a multiple of 8 with every |a_k|, |b_k| < x / 2: g is the
+    primitive part of the balanced digits G of h = gcd(a(x), b(x)), the
+    packed values. Certificate: the roots of the primitive gcd D are roots
+    of a, so |r| < 1 + max|a_k| <= x / 2, and a nonconstant integer factor f
+    of D has |f(x)| > (x / 2)^deg f >= x / 2. If g divides a and b, D = g f
+    (Gauss), and D(x) | h = cont(G) g(x) gives f(x) | cont(G) <= x / 2, so
+    f = +-1; a constant g, which a constant side gives, means D = 1. Else W
+    doubles, and that ends: h = |D(x)| k, where k divides the resultant of
+    the coprime cofactors a / D and b / D (or the constant one), free of x;
+    once every coefficient of k D is below x / 2, G = k D.
+    """
+    width = 8 * (max(map(abs, a + b)).bit_length() // 8 + 1)
+    while True:
+        h = math.gcd(_pack((0, a), width)[1], _pack((0, b), width)[1])
+        g = _primitive(_unpack(0, h, width)[1])
+        if (qa := _exact_quotient(a, g)) is not None and (qb := _exact_quotient(b, g)) is not None:
+            return qa, qb
+        width *= 2
 
 
 # ---------------------------------------------------------------------------
@@ -415,9 +411,7 @@ class RatFunc:
             raise ZeroDivisionError("rational function with zero denominator")
         if not a:
             return cls.zero()
-        g = _prs_gcd(a, b)
-        if len(g) > 1:
-            a, b = _exact_quotient(a, g), _exact_quotient(b, g)
+        a, b = _cofactors(a, b)
         lc = b[-1]
         return cls(
             HalfLaurent._trusted({p: Fraction(c, lc) for p, c in enumerate(a) if c}),

@@ -15,12 +15,12 @@ ints. Evaluation at y is a ring map, so the sums are exact whatever the
 width; _widths fixes the width per call from l1-norm bounds (Fubini
 numbers), so that each result decodes exactly. Each result is decoded
 once, into a dense coefficient list, and finished there by list
-operations: p and each DT invariant by one gcd in RatFunc._from_integers,
-the Betti polynomial and the sign-twisted DT invariant by one exact
-division. Both recursions run over orbits: vertices that a swap leaves
-interchangeable give equal values on every cell of an orbit, so one
-canonical cell per orbit is computed, and a step stands for a whole orbit
-of pairs. The routes are
+operations: p and each DT invariant by RatFunc._from_integers (one
+integer gcd of the packed num and den, see halfq), the Betti polynomial
+and the sign-twisted DT invariant by one exact division. Both recursions
+run over orbits: vertices that a swap leaves interchangeable give equal
+values on every cell of an orbit, so one canonical cell per orbit is
+computed, and a step stands for a whole orbit of pairs. The routes are
 
 * the DT route, a sign-twisted DT invariant, valid when the form is
   symmetric on the kernel of the stability;
@@ -343,8 +343,8 @@ def dt_invariants(
 
     and _factorial(e, m, f) multiplies f by the last factor. No gcd is
     taken until the end: each invariant is canonicalized once, by one
-    RatFunc._from_integers with denominator |e| [e]!, at the canonical e of
-    its orbit; every e of the orbit shares that one value.
+    RatFunc._from_integers (one integer gcd) with denominator |e| [e]!, at
+    the canonical e of its orbit; every e of the orbit shares that one value.
     """
     logs, canon = _dt_logs(q, theta, d, max_box)
     values = {s: RatFunc._from_integers(*_dt_value(s, logs)) for s in logs}

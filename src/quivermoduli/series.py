@@ -36,10 +36,14 @@ class SlopeSeries:
     __slots__ = ("box", "terms")
 
     def __init__(self, box: DimVector, terms: Mapping[DimVector, RatFunc] | None = None):
+        if not isinstance(box, DimVector):
+            raise TypeError(f"the box must be a DimVector, not {type(box).__name__}")
         self.box = box
         clean: dict[DimVector, RatFunc] = {}
         if terms:
             for e, c in terms.items():
+                if not isinstance(e, DimVector):
+                    raise TypeError(f"an exponent must be a DimVector, not {type(e).__name__}")
                 if len(e) != len(box):
                     raise ValueError("exponent length does not match the box")
                 if not e.leq(box):

@@ -4,7 +4,9 @@
 by their monic gcd, found by Euclid with ``Fraction`` coefficients, and
 scales den to be monic. The canonical form (coprime, den monic, nonzero
 constant terms) is unique, so it must agree structurally with the package,
-which reaches the same form through a fraction-free integer gcd.
+which reaches the same form through the heuristic gcd of halfq._cofactors.
+``prs_gcd``, a fraction-free gcd by a primitive remainder sequence, is a
+second judge of that step.
 
 ``require_q_polynomial`` finishes a polynomial-valued result from its
 canonical value by three checks: no denominator, only even nonnegative
@@ -14,6 +16,7 @@ value by one exact division of integer polynomials, with no gcd.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -58,6 +61,42 @@ def poly_gcd(a: HalfLaurent, b: HalfLaurent) -> HalfLaurent:
     if a.is_zero:
         return a
     return a * (Fraction(1) / a.leading_coefficient())
+
+
+def _primitive(a: list[int]) -> list[int]:
+    g = math.gcd(*a)
+    return [c // g for c in a]
+
+
+def prs_gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of two nonzero integer polynomials (coefficient
+    lists, lowest power first), up to sign.
+
+    Primitive polynomial remainder sequence: each pseudo-remainder is cut
+    to its primitive part, so coefficient growth does not compound along
+    the sequence. By Gauss's lemma the last nonzero remainder is, up to
+    sign, the primitive gcd over the rationals.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    a, b = _primitive(a), _primitive(b)
+    while len(b) > 1:
+        db, lb = len(b) - 1, b[-1]
+        r = list(a)
+        while len(r) > db:
+            c = r.pop()
+            g = math.gcd(c, lb)
+            c, m = c // g, lb // g
+            shift = len(r) - db
+            r = [x * m for x in r]
+            for i in range(db):
+                r[shift + i] -= c * b[i]
+            while r and not r[-1]:
+                r.pop()
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return [1]
 
 
 def from_ratio_by_euclid(num: HalfLaurent, den: HalfLaurent) -> RatFunc:

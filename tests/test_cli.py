@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import io
 import json
@@ -6,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 from cli_oracle import _build_parser, oracle_parse
@@ -27,6 +29,7 @@ from quivermoduli import (
 from quivermoduli.catalog import FAMILIES, example_from_spec
 from quivermoduli.cli import (
     COMMAND_TABLE,
+    PROBLEM_KEYS,
     ProblemSpec,
     _help_text,
     _json_text,
@@ -230,6 +233,33 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert err == "error: input: problem description is nested too deeply\n"
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_wrong_typed_values_exit_1_with_one_line(self, data):
+        # every known key, given a JSON value of a type it never takes, is an input error
+        problem = dict(KRONECKER2_PROBLEM, deformed_stability=[2, -1], assume_nonempty=False)
+        keys = data.draw(st.lists(st.sampled_from(PROBLEM_KEYS), min_size=1, unique=True))
+        for key in keys:
+            problem[key] = data.draw(_wrong_value(key), label=key)
+        stdin, stdout, stderr = io.StringIO(json.dumps(problem)), io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), contextlib.redirect_stdout(stdout):
+            with contextlib.redirect_stderr(stderr):
+                code = main(["info", "-", "--json"])
+        err = stderr.getvalue()
+        assert (code, stdout.getvalue()) == (1, "")
+        assert err.startswith("error: input: ") and err.count("\n") == 1 and err.endswith("\n")
+
+    def test_key_error_in_a_handler_is_no_input_error(self, capsys, monkeypatch):
+        # a KeyError inside the engine is a defect, not bad input: it is not
+        # reported on the "error: input:" line with exit 1
+        def handler(problem, max_box):
+            raise KeyError("engine")
+
+        monkeypatch.setitem(COMMAND_TABLE, "info", (handler, COMMAND_TABLE["info"][1]))
+        with pytest.raises(KeyError, match="engine"):
+            main(["info", "--example", "levi_adjoint:2"])
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_max_box_must_be_positive(self, capsys, value):
         code, out, err = run(capsys, ["info", "--example", "levi_adjoint:2", f"--max-box={value}"])
@@ -425,6 +455,26 @@ class TestParser:
         code, out, err = run(capsys, ["info", "--example", spec])
         assert code == 1 and out == ""
         assert err == f"error: input: {message}\n"
+
+
+# JSON values of a type that no known key takes: neither a list nor, but for
+# assume_nonempty, a boolean; a list of items that no list key takes
+_NOT_A_LIST = (
+    st.text(max_size=3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2)
+)
+_BAD_ITEMS = st.lists(
+    st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _wrong_value(key):
+    return _NOT_A_LIST | _BAD_ITEMS | (st.integers() if key == "assume_nonempty" else st.booleans())
 
 
 class TestBooleanRejected:

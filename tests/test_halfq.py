@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from ratfunc_oracle import from_ratio_by_euclid, integer_laurents, poly_gcd
+from ratfunc_oracle import from_ratio_by_euclid, integer_laurents, poly_gcd, prs_gcd
 
 from quivermoduli import (
     DimVector,
@@ -12,12 +12,13 @@ from quivermoduli import (
     RatFunc,
     SlopeSeries,
     adams,
+    halfq,
     pleth_exp,
     pleth_log,
     series_exp,
     series_log,
 )
-from quivermoduli.halfq import _dense, _mobius, _mul
+from quivermoduli.halfq import _cofactors, _dense, _exact_quotient, _mobius, _mul
 
 BOX22 = DimVector((2, 2))
 ZERO22 = DimVector((0, 0))
@@ -103,6 +104,19 @@ class TestSlopeSeries:
     def test_non_rational_coefficient_refused(self):
         with pytest.raises(TypeError, match="float"):
             SlopeSeries(DimVector((1,)), {DimVector((1,)): 0.5})
+
+    @pytest.mark.parametrize(
+        "box, terms, name",
+        [
+            pytest.param(DimVector((1,)), {(1,): 1}, "tuple", id="tuple-exponent"),
+            pytest.param(DimVector((1,)), {"1": 1}, "str", id="str-exponent"),
+            pytest.param((1,), {DimVector((1,)): 1}, "tuple", id="tuple-box"),
+            pytest.param((1,), None, "tuple", id="tuple-box-no-terms"),
+        ],
+    )
+    def test_exponent_or_box_that_is_no_dimension_vector_refused(self, box, terms, name):
+        with pytest.raises(TypeError, match=f"DimVector, not {name}$"):
+            SlopeSeries(box, terms)
 
     def test_operators_store_no_zeros(self):
         rng = random.Random(7)
@@ -256,6 +270,73 @@ class TestFromRatioOracle:
         )
         if multiple:
             assert got.is_laurent
+
+
+def _times(a: list[int], b: list[int]) -> list[int]:
+    """The product of two coefficient lists with nonzero ends, lowest power first."""
+    return _dense(_mul(dict(enumerate(a)), dict(enumerate(b))))[1]
+
+
+# coefficient lists with nonzero ends; small coefficients share factors often
+_COEFF = st.integers(-3, 3) | st.integers(-(2**100), 2**100)
+_POLYS = st.lists(_COEFF, min_size=1, max_size=5).filter(lambda c: c[0] and c[-1])
+
+
+@st.composite
+def cofactor_pairs(draw):
+    """(a, b): products f g and f h, num = c den (complete cancellation), or a constant side."""
+    f, g, h = draw(_POLYS), draw(_POLYS), draw(_POLYS)
+    case = draw(st.sampled_from(["products", "cancellation", "constant"]))
+    c = draw(_COEFF.filter(bool))
+    if case == "products":
+        a, b = _times(f, g), _times(f, h)
+    elif case == "cancellation":
+        b = _times(f, h)
+        a = [c * x for x in b]
+    else:
+        a, b = _times(f, g), [c]
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestCofactors:
+    """_cofactors, the heuristic gcd of RatFunc._from_integers, judged by Euclid
+    over the rationals (poly_gcd, from_ratio_by_euclid) and by the primitive
+    remainder sequence (prs_gcd)."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(cofactor_pairs(), st.integers(-3, 3), st.integers(-3, 3))
+    # the retry pair below, and a pair with no common factor
+    @example(([-2, 2, 1], [1, 2, -1, 2]), 0, 0)
+    @example(([1, 1], [1, -1]), 2, -1)
+    def test_matches_the_oracles(self, pair, low_a, low_b):
+        a, b = pair
+        qa, qb = _cofactors(a, b)
+        # a / b = qa / qb with coprime qa and qb
+        assert _times(a, qb) == _times(b, qa)
+        assert poly_gcd(HalfLaurent(dict(enumerate(qa))), HalfLaurent(dict(enumerate(qb)))) == 1
+        # the same cofactors, up to sign, as the exact quotients by the PRS gcd
+        g = prs_gcd(a, b)
+        want = (_exact_quotient(a, g), _exact_quotient(b, g))
+        assert (qa, qb) in (want, tuple([-x for x in q] for q in want))
+        # and the canonical form of Euclid
+        num = HalfLaurent({low_a + k: x for k, x in enumerate(a)})
+        den = HalfLaurent({low_b + k: x for k, x in enumerate(b)})
+        assert RatFunc._from_integers((low_a, a), (low_b, b)) == from_ratio_by_euclid(num, den)
+
+    def test_retry_at_twice_the_width(self, monkeypatch):
+        # every coefficient lies below 2^7, so the first width is 8; the integer
+        # gcd at 2^8 decodes to a false common factor, and 16 bits certify gcd 1
+        widths = []
+
+        def spy(low, x, width, step=1):
+            widths.append(width)
+            return unpack(low, x, width, step)
+
+        unpack = halfq._unpack
+        monkeypatch.setattr(halfq, "_unpack", spy)
+        a, b = [-2, 2, 1], [1, 2, -1, 2]
+        assert _cofactors(a, b) == (a, b)
+        assert widths == [8, 16]
 
 
 # rational points at which both sides of an identity are evaluated

@@ -415,8 +415,9 @@ def ic_dt_by_field_arithmetic(q, d, theta):
 
 
 class TestOneCanonicalization:
-    """p_poly and each DT invariant are canonicalized once, by one gcd; betti_coprime
-    and ic_poincare_dt take no gcd, one exact division. Field arithmetic is the judge.
+    """p_poly and each DT invariant are canonicalized once, by one gcd (_cofactors);
+    betti_coprime and ic_poincare_dt take no gcd, one exact division. Field
+    arithmetic is the judge.
 
     The call-count tests count RatFunc.from_ratio too, which none of these may call."""
 
@@ -449,7 +450,7 @@ class TestOneCanonicalization:
 
             return wrapper
 
-        monkeypatch.setattr(halfq, "_prs_gcd", counted("gcd", halfq._prs_gcd))
+        monkeypatch.setattr(halfq, "_cofactors", counted("gcd", halfq._cofactors))
         for name in ("from_ratio", "_from_integers"):
             original = getattr(RatFunc, name).__func__
             monkeypatch.setattr(RatFunc, name, classmethod(counted(name, original)))

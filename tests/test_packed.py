@@ -105,6 +105,24 @@ class TestPacking:
         f = _dense({low + k: c for k, c in enumerate(coeffs)})
         assert _unpack(*_pack(f, width), width) == f
 
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(
+        st.integers() | st.integers(-(2**300), 2**300) | st.integers(1, 300).map(lambda k: 2**k),
+        st.sampled_from(range(8, 88, 8)),
+        st.sampled_from([-1, 0, 1]),
+    )
+    # at width 8, 2^15 - 1 needs three balanced digits (1, -128, -1), and
+    # -2^15 has the digits (-128, 0), whose zero lowest digit moves into low
+    @example(2**15 - 1, 8, 0)
+    @example(-(2**15), 8, 0)
+    @example(0, 8, 0)
+    def test_unpack_decodes_any_integer(self, x, width, delta):
+        # any int, not only a packed value, decodes into balanced base-2^width
+        # digits, which _pack packs back to it; _cofactors decodes an integer gcd so
+        x += delta
+        low, y = _pack(_unpack(0, x, width), width)
+        assert low >= 0 and y << width * low == x
+
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
         st.dictionaries(st.integers(-12, 12), st.integers(-(10**6), 10**6), max_size=8),
