@@ -120,10 +120,10 @@ def parse_problem_json(text: str) -> ProblemSpec:
     deformed = None
     if data.get("deformed_stability") is not None:
         deformed = Stability(_int_vector(data, "deformed_stability", n, nonnegative=False))
-    assume = data.get("assume_nonempty", False)
-    _require(isinstance(assume, bool), "assume_nonempty must be a boolean")
+    assume = data.get("assume_nonempty")
+    _require(assume is None or isinstance(assume, bool), "assume_nonempty must be a boolean")
     quiver = Quiver(tuple(vertices), tuple(tuple(row) for row in arrows))
-    return ProblemSpec(quiver, dim, stab, deformed, assume)
+    return ProblemSpec(quiver, dim, stab, deformed, assume is True)
 
 
 def load_problem(args) -> ProblemSpec:

@@ -113,36 +113,6 @@ MAX_LUNA_CANDIDATES = 1000
 MAX_LUNA_TYPES = 25000
 
 
-def _type_count(d: tuple[int, ...], parts: list[tuple[int, ...]], limit: int) -> int:
-    """The number of types: the coefficient of t^d in prod_e 1 / (1 - t^e).
-
-    One DP over the box [0, d] with cells as mixed-radix integers, ordered
-    lexicographically; part e adds count[c - e] to count[c] for every cell
-    c >= e, in ascending order, so e may repeat. The work is the sum of
-    |box(d - e)| over the parts. The count at d only grows, so the DP stops
-    with a count above limit as soon as it passes it; small parts raise it
-    fastest, so luna_types passes the parts in ascending order.
-    """
-    strides, size = [], 1
-    for c in reversed(d):
-        strides.append(size)
-        size *= c + 1
-    strides.reverse()
-    count = [1] + [0] * (size - 1)
-    for e in parts:
-        # the cells of box(d - e), as offsets in ascending order
-        offsets = [0]
-        for c, ce, stride in zip(d, e, strides):
-            if c > ce:
-                offsets = [o + k for o in offsets for k in range(0, (c - ce) * stride + 1, stride)]
-        base = sum(map(operator.mul, e, strides))
-        for o in offsets:
-            count[base + o] += count[o]
-        if count[-1] > limit:
-            break
-    return count[-1]
-
-
 def _walk(q: Quiver, d: DimVector, theta: Stability, max_box: int) -> tuple[list, list, list]:
     """The one walk over the decomposition types of d, for luna_types and
     stratum_records: the candidate parts, one (type, key node, candidate
@@ -169,9 +139,9 @@ def _walk(q: Quiver, d: DimVector, theta: Stability, max_box: int) -> tuple[list
     multiplicity) is hashed once; node 0 is the empty key. Two types share
     a node exactly when their Gram matrices and multiplicities are equal.
 
-    More than MAX_LUNA_CANDIDATES candidates, and then more than
-    MAX_LUNA_TYPES types (counted before the walk), raise
-    PreconditionError.
+    More than MAX_LUNA_CANDIDATES candidates raise PreconditionError
+    before the walk; the walk raises it on meeting type number
+    MAX_LUNA_TYPES + 1, so a refusal costs the walk of MAX_LUNA_TYPES types.
     """
     q._check(d)
     if d.is_zero:
@@ -185,11 +155,6 @@ def _walk(q: Quiver, d: DimVector, theta: Stability, max_box: int) -> tuple[list
         raise PreconditionError(
             f"{len(coords)} candidate parts for decomposition types, "
             f"more than the {MAX_LUNA_CANDIDATES} allowed"
-        )
-    count = _type_count(d.coords, coords, MAX_LUNA_TYPES)
-    if count > MAX_LUNA_TYPES:
-        raise PreconditionError(
-            f"at least {count} decomposition types, more than the {MAX_LUNA_TYPES} allowed"
         )
     coords.reverse()
     n = len(d)
@@ -257,6 +222,11 @@ def _walk(q: Quiver, d: DimVector, theta: Stability, max_box: int) -> tuple[list
                 if rest:
                     extend(idx + 1, rest, parts + (pair,), now, child)
                 else:
+                    if len(out) == MAX_LUNA_TYPES:
+                        raise PreconditionError(
+                            f"at least {MAX_LUNA_TYPES + 1} decomposition types, "
+                            f"more than the {MAX_LUNA_TYPES} allowed"
+                        )
                     # distinct candidates in descending order: canonical already
                     out.append((LunaType._canonical(parts + (pair,)), child, now))
 
@@ -278,6 +248,8 @@ def luna_types(
     reads too (see _walk), in lexicographic order of their (candidate,
     -multiplicity) sequences; the recursion depth is at most the number
     of parts. The oracle is the DimVector walk in tests/strata_oracle.py.
+    More than MAX_LUNA_CANDIDATES candidate parts or MAX_LUNA_TYPES types
+    raise PreconditionError.
     """
     return [xi for xi, _, _ in _walk(q, d, theta, max_box)[1]]
 

@@ -65,18 +65,28 @@ def _build_parser() -> argparse.ArgumentParser:
         help="cap on box-enumeration cells (default 10^6)",
     )
     # unless usage is set, parse_intermixed_args renders this same text for its
-    # error messages on every call and throws it away afterwards
-    parser.usage = parser.format_usage()[7:]
+    # error messages on every call and throws it away afterwards; it is laid out
+    # at 80 columns, as the help text that shows it
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        parser.usage = parser.format_usage()[7:]
     return parser
 
 
 def oracle_parse(argv: list[str]):
     """("help", text at 80 columns), ("error", message) or ("ok", fields) for argv."""
-    out = io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), mock.patch.dict(os.environ, COLUMNS="80"):
+        with contextlib.redirect_stdout(io.StringIO()):
             args = _build_parser().parse_intermixed_args(argv)
     except SystemExit:
+        # only the help action exits: parse again to lay its text out at 80
+        # columns, since patching COLUMNS copies and restores the environment
+        out = io.StringIO()
+        with (
+            contextlib.suppress(SystemExit),
+            contextlib.redirect_stdout(out),
+            mock.patch.dict(os.environ, COLUMNS="80"),
+        ):
+            _build_parser().parse_intermixed_args(argv)
         return "help", out.getvalue()
     except ValueError as exc:
         return "error", str(exc)

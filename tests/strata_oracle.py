@@ -11,10 +11,15 @@ StratumRecord field straight from its formula, calling ``q.euler_form``
 afresh for every value, with no table shared between types. The package
 builds each type's Gram key along its walk from one table of the form per
 call, and computes the local data once per key instead.
+
+``type_count`` counts the types without listing them, by a DP over the
+box; the package lists them and refuses the type past its budget, so the
+count judges both the length of the list and where the refusal falls.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from quivermoduli import (
@@ -100,3 +105,33 @@ def stratum_records_per_call(
     q: Quiver, d: DimVector, theta: Stability, theta_prime: Stability
 ) -> tuple[StratumRecord, ...]:
     return tuple(_record(q, d, xi, theta_prime) for xi in luna_types(q, d, theta))
+
+
+def type_count(d: tuple[int, ...], parts: list[tuple[int, ...]], limit: int) -> int:
+    """The number of types: the coefficient of t^d in prod_e 1 / (1 - t^e).
+
+    One DP over the box [0, d] with cells as mixed-radix integers, ordered
+    lexicographically; part e adds count[c - e] to count[c] for every cell
+    c >= e, in ascending order, so e may repeat. The work is the sum of
+    |box(d - e)| over the parts. The count at d only grows, so the DP stops
+    with a count above limit as soon as it passes it; small parts raise it
+    fastest, so pass the parts in ascending order to stop early.
+    """
+    strides, size = [], 1
+    for c in reversed(d):
+        strides.append(size)
+        size *= c + 1
+    strides.reverse()
+    count = [1] + [0] * (size - 1)
+    for e in parts:
+        # the cells of box(d - e), as offsets in ascending order
+        offsets = [0]
+        for c, ce, stride in zip(d, e, strides):
+            if c > ce:
+                offsets = [o + k for o in offsets for k in range(0, (c - ce) * stride + 1, stride)]
+        base = sum(map(operator.mul, e, strides))
+        for o in offsets:
+            count[base + o] += count[o]
+        if count[-1] > limit:
+            break
+    return count[-1]

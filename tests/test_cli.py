@@ -227,6 +227,14 @@ class TestExitCodes:
         assert err.startswith("error: input: ") and err.count("\n") == 1
         assert "deformed_stabilty" in err
 
+    @pytest.mark.parametrize("key", ["vertices", "deformed_stability", "assume_nonempty"])
+    def test_null_optional_key_reads_as_absent(self, capsys, monkeypatch, key):
+        problem = {"arrows": [[0, 1], [0, 0]], "dimension": [1, 1], "stability": [0, 0]}
+        for command in COMMAND_TABLE.keys() - {"examples"}:
+            without = run_stdin_json(capsys, monkeypatch, [command], problem)
+            with_null = run_stdin_json(capsys, monkeypatch, [command], dict(problem, **{key: None}))
+            assert with_null == without, command
+
     def test_deeply_nested_json(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("[" * 100000))
         code, out, err = run(capsys, ["info", "-"])
@@ -569,7 +577,8 @@ class TestTooManyTypes:
     )
     @pytest.mark.parametrize("dimension", [[10, 11], [20, 21]])
     def test_refused_before_the_walk(self, capsys, monkeypatch, command, arrows, dimension):
-        # 94,664 and about 4.4 * 10^8 types, under the 1,000-candidate guard
+        # 94,664 and about 4.4 * 10^8 types, under the 1,000-candidate guard:
+        # the walk refuses on meeting type 25,001
         problem = {"arrows": arrows, "dimension": dimension, "stability": [0, 0]}
         monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(problem)))
         start = time.perf_counter()
@@ -593,7 +602,7 @@ class TestTooManyTypes:
         assert time.perf_counter() - start < 2
         assert (code, out) == (2, "")
         assert err == (
-            "error: precondition: at least 83667 decomposition types, "
+            "error: precondition: at least 25001 decomposition types, "
             f"more than the {strata_module.MAX_LUNA_TYPES} allowed\n"
         )
 

@@ -100,7 +100,7 @@ PINS = [
     ("smallness - --json", "Q_S(3,4,5)", 0,
      "96c6171b92636b40c1722de457922bebb1f315c5d3c6d217c4d27ed607e770e5", 20),
     # 4.4 * 10^8 types on two vertices with 3 arrows, theta = 0: 461 candidate parts
-    # pass the 1,000-candidate guard, so the type count must refuse it
+    # pass the 1,000-candidate guard, so the walk must refuse it at type 25,001
     ("strata - --json", "K3(20,21)", 2, NOTHING, 5),
     # digest recorded before the HN recursion and the DT log walked the sub-box of
     # each cell, when this input took about 21 s in-process

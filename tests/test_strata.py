@@ -6,7 +6,7 @@ import pytest
 from hn_oracle import hn_problems
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from strata_oracle import luna_types_by_dimvectors, stratum_records_per_call
+from strata_oracle import luna_types_by_dimvectors, stratum_records_per_call, type_count
 
 import quivermoduli.strata as strata_module
 from quivermoduli import (
@@ -170,7 +170,7 @@ def wide_problems(draw, max_cells: int = 160):
     d = DimVector(tuple(coords))
     q = Quiver.from_matrix([[draw(st.integers(0, 3)) for _ in range(n)] for _ in range(n)])
     theta = Stability(draw(st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-3, 3)] * n))))
-    assume(strata_module._type_count(d.coords, _candidates(d, theta), 3000) <= 3000)
+    assume(type_count(d.coords, _candidates(d, theta), 3000) <= 3000)
     theta_prime = Stability(draw(st.tuples(*[st.integers(-3, 3)] * n)))
     return q, d, theta, theta_prime
 
@@ -556,10 +556,10 @@ class TestTypeCount:
         q, d, theta = problem
         count = len(luna_types(q, d, theta))
         parts = data.draw(st.permutations(_candidates(d, theta)))
-        assert strata_module._type_count(d.coords, parts, count) == count
+        assert type_count(d.coords, parts, count) == count
         # past the limit the DP may stop early, with a count above the limit
         limit = data.draw(st.integers(0, count + 1))
-        assert (strata_module._type_count(d.coords, parts, limit) > limit) == (count > limit)
+        assert (type_count(d.coords, parts, limit) > limit) == (count > limit)
 
     @pytest.mark.parametrize(
         "q, d, theta, count",
@@ -571,14 +571,36 @@ class TestTypeCount:
         ],
     )
     def test_fixed_counts(self, q, d, theta, count):
-        assert strata_module._type_count(d.coords, _candidates(d, theta), count) == count
+        assert type_count(d.coords, _candidates(d, theta), count) == count
         assert len(luna_types(q, d, theta)) == count
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(hn_problems(), st.data())
+    def test_walk_refuses_past_the_budget(self, problem, data):
+        # the walk counts its own types: it refuses exactly when the count passes
+        # the budget, on meeting the first type past it
+        q, d, theta = problem
+        parts = _candidates(d, theta)
+        count = type_count(d.coords, parts, 10**9)
+        limit = data.draw(st.integers(0, count + 1))
+        refused = type_count(d.coords, parts, limit) > limit
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            monkeypatch.setattr(strata_module, "MAX_LUNA_TYPES", limit)
+            for walk in (luna_types, lambda *args: stratum_records(*args, theta)):
+                if not refused:
+                    assert len(walk(q, d, theta)) == count
+                    continue
+                with pytest.raises(PreconditionError) as exc:
+                    walk(q, d, theta)
+                assert str(exc.value) == (
+                    f"at least {limit + 1} decomposition types, more than the {limit} allowed"
+                )
 
     def test_budget(self):
         # levi_adjoint(9) is listed, two vertices at theta = 0 with d = (10, 11) are not
         assert 21147 <= strata_module.MAX_LUNA_TYPES < 94664
         d, theta = DimVector((10, 11)), Stability((0, 0))
-        assert strata_module._type_count(d.coords, _candidates(d, theta), 10**6) == 94664
+        assert type_count(d.coords, _candidates(d, theta), 10**6) == 94664
         with pytest.raises(PreconditionError, match="decomposition types"):
             luna_types(kronecker(3), d, theta)
 
