@@ -186,57 +186,67 @@ class _Rows:
 
 
 def _row_texts(rows: _Rows, pad: str) -> list[str]:
-    """The rows _json_text writes for rows at pad, one string per row.
-
-    A row is a dict of a StratumRecord's ten fields. It ends with the comma
-    that follows it in the list; _json_text writes the brackets. A piece
-    that repeats between rows is rendered once by _json_text and reused.
-    stratum_records shares one object per piece of local data between the
-    types of a Gram key, and one (part, multiplicity) entry between the
-    types that contain it, so those pieces are looked up by object first.
-    """
+    """The rows _json_text writes for rows at pad, one string per record with
+    the comma that follows it. The type and local stability are rendered per
+    row, the other eight fields once per key: codim, filtered, reason and
+    trivial by value, the local quiver, local dim, fibre bound and margin by
+    object, which stratum_records shares per Gram key. A type entry
+    (part, multiplicity), shared between types, is rendered once."""
     step, comma = ("  ", ",") if pad else ("", ", ")
     # the pads of a row, of its fields and of the items of a field
     row_pad, f, e = pad + step, pad + 2 * step, pad + 3 * step
-    # (value, pad) -> text; id -> text of a field's object, which the records
-    # keep alive, so an id names one object throughout
-    texts: dict = {}
+
+    def listed(texts: list, at: str) -> str:
+        # the list of these item texts at pad at, as _json_text writes it
+        inner = at + step
+        return f"[{inner}{(comma + inner).join(texts)}{at}]" if texts else "[]"
+
+    def ints(values, at: str) -> str:
+        return listed([*map(int.__repr__, values)], at)
+
+    def fields(*items) -> str:
+        # the last item has no value yet: its name ends the text
+        return comma.join(f'{f}"{name}": {value}' for name, value in items)
+
+    def text(value) -> str:
+        return "null" if value is None else _encode_str(str(value))
+
+    def entry(x) -> str:
+        return by_id.setdefault(id(x), listed([ints(x[0].coords, e + step), str(x[1])], e))
+
+    # key -> the row's text around its local stability; id -> the text of a
+    # type's entry, which the records keep alive, so an id names one object
+    by_key: dict[tuple, tuple[str, str]] = {}
     by_id: dict[int, str] = {}
-
-    def piece(value, at: str = f) -> str:
-        text = texts.get((value, at))
-        if text is None:
-            text = texts[value, at] = "".join(_json_text(value, at))
-        return text
-
-    def shared(obj, value, at: str = f) -> str:
-        text = by_id[id(obj)] = piece(value, at)
-        return text
-
-    fields = (
-        "codim_bound", "fiber_bound", "filtered", "local_arrows", "local_dim",
-        "local_stability", "margin", "reason", "trivial", "type",
-    )
-    row = row_pad + "{" + comma.join(f'{f}"{name}": %s' for name in fields) + row_pad + "}" + comma
-    known = by_id.get
     out = []
     for rec in rows.records:
-        lq, ld, ls = rec.local_quiver, rec.local_dim, rec.local_stability
-        fiber, margin = rec.fiber_bound, rec.margin
-        reason = rec.reason and rec.reason.partition(" (-")[0] if rows.brief else rec.reason
-        parts = [known(id(x)) or shared(x, (x[0].coords, x[1]), e) for x in rec.luna_type.parts]
-        out.append(row % (
-            rec.codim_bound,
-            known(id(fiber)) or shared(fiber, None if fiber is None else str(fiber)),
-            _CONSTANTS[rec.filtered],
-            known(id(lq)) or shared(lq, None if lq is None else lq.arrows),
-            known(id(ld)) or shared(ld, None if ld is None else ld.coords),
-            piece(None if ls is None else ls.weights),
-            known(id(margin)) or shared(margin, None if margin is None else str(margin)),
-            piece(reason),
-            _CONSTANTS[rec.luna_type.is_trivial],
-            f"[{e}{(comma + e).join(parts)}{f}]",
-        ))
+        lq, ld, fiber, margin = rec.local_quiver, rec.local_dim, rec.fiber_bound, rec.margin
+        reason, trivial, ls = rec.reason, rec.luna_type.is_trivial, rec.local_stability
+        key = (rec.codim_bound, rec.filtered, reason, trivial, id(lq), id(ld), id(fiber), id(margin))
+        around = by_key.get(key)
+        if around is None:
+            if rows.brief and reason:
+                reason = reason.partition(" (-")[0]
+            arrows = "null" if lq is None else listed([ints(row, e) for row in lq.arrows], f)
+            around = by_key[key] = (
+                row_pad + "{" + fields(
+                    ("codim_bound", int.__repr__(rec.codim_bound)),
+                    ("fiber_bound", text(fiber)),
+                    ("filtered", _CONSTANTS[rec.filtered]),
+                    ("local_arrows", arrows),
+                    ("local_dim", "null" if ld is None else ints(ld.coords, f)),
+                    ("local_stability", ""),
+                ),
+                comma + fields(
+                    ("margin", text(margin)),
+                    ("reason", text(reason)),
+                    ("trivial", _CONSTANTS[trivial]),
+                    ("type", ""),
+                ),
+            )
+        parts = [by_id.get(id(x)) or entry(x) for x in rec.luna_type.parts]
+        ls = "null" if ls is None else ints(ls.weights, f)
+        out.append(f"{around[0]}{ls}{around[1]}{listed(parts, f)}{row_pad}}}{comma}")
     return out
 
 

@@ -14,7 +14,7 @@ fractions.Fraction, never floats.
 from __future__ import annotations
 
 import operator
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd
@@ -32,10 +32,18 @@ class _Record:
     or keyword, compares equal only to an instance of its own class with
     equal fields, hashes as the tuple of its fields and shows them in its
     repr. A subclass that validates defines its own __init__ and sets its
-    fields with object.__setattr__.
+    fields with object.__setattr__; _trusted skips that __init__.
     """
 
     __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *fields):
+        """The instance of fields already in the form __init__ would give them."""
+        obj = object.__new__(cls)
+        for put, value in zip(cls._setters, fields):
+            put(obj, value)
+        return obj
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__
@@ -43,8 +51,8 @@ class _Record:
             args += tuple(kwargs.pop(name) for name in names[len(args):] if name in kwargs)
         if len(args) != len(names) or kwargs:
             raise TypeError(f"{type(self).__name__} takes the fields {', '.join(names)}")
-        for name, value in zip(names, args):
-            object.__setattr__(self, name, value)
+        for put, value in zip(self._setters, args):
+            put(self, value)
 
     def __init_subclass__(cls):
         # _fields(self) is the tuple of field values; an attrgetter of one
@@ -54,6 +62,7 @@ class _Record:
             cls._fields = lambda self: get(self)
         else:
             cls._fields = lambda self: (get(self),)
+        cls._setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -212,11 +221,7 @@ class Quiver(_Record):
 
     @property
     def is_symmetric(self) -> bool:
-        return all(
-            self.arrows[i][j] == self.arrows[j][i]
-            for i in range(self.n)
-            for j in range(i + 1, self.n)
-        )
+        return self.arrows == tuple(zip(*self.arrows))
 
     def unit(self, i: int) -> DimVector:
         return DimVector(tuple(1 if k == i else 0 for k in range(self.n)))
@@ -234,7 +239,7 @@ class Quiver(_Record):
         self._check(e)
         ec = e.coords
         return sum(
-            di * (ei - sum(a * b for a, b in zip(row, ec)))
+            di * (ei - sum(map(operator.mul, row, ec)))
             for di, ei, row in zip(d.coords, ec, self.arrows)
             if di
         )
@@ -259,6 +264,24 @@ class Quiver(_Record):
 
     def __str__(self) -> str:
         return f"quiver on {self.n} vertices ({', '.join(self.vertices)})"
+
+
+def _vertex_classes(d: DimVector, theta: Stability, also: Callable | None = None) -> list:
+    """The classes of vertices with equal (d_i, theta_i) and d_i != 0, split
+    by the equivalence relation also(i, j) if given; d_i = 0 leaves i alone.
+
+    Each class is ascending, ordered by its first vertex. The relation is
+    transitive, so a vertex is compared with the first of each class only.
+    """
+    dc, w = d.coords, theta.weights
+
+    def same(i: int, j: int) -> bool:
+        return dc[i] and (dc[i], w[i]) == (dc[j], w[j]) and (also is None or also(i, j))
+
+    classes: dict[int, list[int]] = {}
+    for i in range(len(dc)):
+        classes.setdefault(next((f for f in classes if same(f, i)), i), []).append(i)
+    return list(classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ strictly destabilizing, must not produce new nonpositive values on
 subvectors, and must separate d from all its proper subvectors
 (coprimality). Such a deformation always exists for indivisible d and is
 constructed here from a separating covector eta, found by a pruned
-depth-first search (see _search_eta) within a sup-norm bound that d
-fixes (see generic_deformation). Every constructed deformation is
-verified by is_generic_deformation.
+depth-first search over class-sorted heads (see _search_eta) within a
+sup-norm bound that d fixes (see generic_deformation). Every constructed
+deformation is verified by is_generic_deformation.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .core import (
     Stability,
     _cell_weights,
     _Record,
+    _vertex_classes,
     box_size,
     check_box,
     is_indivisible,
@@ -81,28 +82,34 @@ def is_generic_deformation(
     return DeformationVerdict(not violations, tuple(violations))
 
 
-def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stability:
+def _search_eta(d: DimVector, theta: Stability, critical: list, max_norm: int) -> Stability:
     """First integer covector vanishing on d and nonzero on the critical set.
 
     Deterministic: increasing sup-norm, ties broken lexicographically with
     coordinates ordered 0 < 1 < -1 < 2 < -2 < ...; this keeps coefficients
-    small and the output reproducible.
+    small and the output reproducible. critical is the set of proper nonzero
+    e <= d with theta(e) = 0.
 
     Each sup-norm is searched depth first, setting coordinates 0..n-1 in
     turn. Only x_k, at the last index k with d_k != 0, is not enumerated:
     eta(d) = 0 leaves x_k = -sum_{i<k} x_i d_i / d_k, kept when it is an
-    integer with |x_k| <= the sup-norm. Two tests cut a prefix with all its
-    extensions:
+    integer with |x_k| <= the sup-norm. Three tests cut a prefix with all
+    its extensions:
     - a head x_0..x_j (j < k) whose partial sum |sum_{i<=j} x_i d_i|
       exceeds bound * (sum_{j<i<k} d_i + d_k) leaves no x_k in range;
     - each critical e is tested at the index i of its last nonzero
       coordinate, where eta(e) = v + x_i e_i with v fixed by the head. For
       i < k, v is computed once per head and the one x_i that makes eta(e)
-      vanish, if any, is cut; x_k is tested directly.
-    A cut prefix has no valid extension, and the walk visits the others in
-    lexicographic order, so it returns the first valid candidate of the
-    full enumeration, the test oracle in tests/deform_oracle.py, and raises
-    EtaSearchExhausted when none has sup-norm at most max_norm.
+      vanish, if any, is cut; x_k is tested directly;
+    - a head not sorted in the order above within a class of _vertex_classes
+      (equal (d_i, theta_i), d_i != 0) is cut, x_k included.
+    The first two cut only prefixes with no valid extension. For the third,
+    swapping vertices a < b of a class fixes d and theta, so it maps the
+    critical set to itself and a valid eta to a valid eta of equal sup-norm,
+    smaller if x_a comes after x_b: the first valid eta is class-sorted. The
+    walk visits the rest in lexicographic order, so it returns the first
+    valid candidate of the full enumeration (tests/deform_oracle.py), and
+    raises EtaSearchExhausted when none has sup-norm at most max_norm.
     """
     coords = d.coords
     n = len(coords)
@@ -114,15 +121,18 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
     for e in critical:
         last = max(i for i, c in enumerate(e.coords) if c)
         checks[last].append(e.coords[: last + 1])
+    # prev[i]: the vertex before i in its class, whose place in values x_i starts from
+    prev = {i: p for cls in _vertex_classes(d, theta) for p, i in zip(cls, cls[1:])}
     eta = [0] * n
 
     def walk(i: int, partial: int, bound: int, values: list[int]) -> bool:
         # partial = sum_{j<i} eta_j d_j
         if i == n:
             return max(map(abs, eta)) == bound
+        low = values.index(eta[prev[i]]) if i in prev else 0
         if i == k:
             xk, rest = divmod(-partial, dk)
-            if rest or abs(xk) > bound:
+            if rest or abs(xk) > bound or values.index(xk) < low:
                 return False
             eta[k] = xk
             return all(sum(map(operator.mul, eta, e)) for e in checks[k]) and walk(
@@ -135,7 +145,7 @@ def _search_eta(d: DimVector, critical: list[DimVector], max_norm: int) -> Stabi
             v = sum(map(operator.mul, eta, e))
             if v % e[i] == 0:
                 cut.add(-v // e[i])
-        for x in values:
+        for x in values[low:]:
             nxt = partial + x * coords[i]
             if x in cut or (i < k and abs(nxt) > bound * reach[i]):
                 continue
@@ -167,7 +177,8 @@ def generic_deformation(
     eta exists within sup-norm N = |d| B^(n-1), B = |d|^2 + 2: the covector
     |d| B^i - sum_j d_j B^j vanishes on d and, read in base B, on no proper
     nonzero e <= d; it is nonzero for n >= 2. On one vertex only eta = 0
-    vanishes on d, and EtaSearchExhausted is raised.
+    vanishes on d, and EtaSearchExhausted is raised. The search skips heads
+    that a swap of interchangeable vertices makes smaller (see _search_eta).
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -180,7 +191,7 @@ def generic_deformation(
     # the zero cell and d weigh 0 under theta; the other critical cells become DimVectors
     cells = islice(zip(sub_box(s), _cell_weights(theta.weights, s)), 1, box_size(d) - 1)
     bound = sum(s) * (sum(s) ** 2 + 2) ** (len(d) - 1)
-    eta = _search_eta(d, [DimVector(e) for e, te in cells if te == 0], bound)
+    eta = _search_eta(d, theta, [DimVector(e) for e, te in cells if te == 0], bound)
     # C must beat eta(e) where theta(e) < 0 and -eta(e) where theta(e) > 0
     weights = zip(_cell_weights(theta.weights, s), _cell_weights(eta.weights, s))
     scale = 1 + max([0] + [ee if te < 0 else -ee for te, ee in weights if te])

@@ -43,6 +43,7 @@ from .core import (
     DimVector,
     Quiver,
     Stability,
+    _vertex_classes,
     check_box,
     is_coprime,
     normalize_stability,
@@ -136,24 +137,16 @@ def _orbits(
     When every class is a single vertex, cells is sub_box(d), canon is the
     identity and walk is sub_box with weight 1.
     """
-    n, dc, w = len(d), d.coords, tnorm.weights
+    n, dc = len(d), d.coords
 
     def swappable(i: int, j: int) -> bool:
-        # a vertex of dimension 0 is left single: every cell is 0 there
-        if not dc[i] or (dc[i], w[i]) != (dc[j], w[j]):
-            return False
         p = list(range(n))
         p[i], p[j] = j, i
         return all(euler[p[a]][p[b]] == euler[a][b] for a in range(n) for b in range(n))
 
-    classes: dict[int, list[int]] = {}  # keyed by their first vertex
-    live = [key for key in zip(dc, w) if key[0]]
-    if len(set(live)) < len(live):  # else no two vertices can be interchangeable
-        for i in range(n):
-            classes.setdefault(next((f for f in classes if swappable(f, i)), i), []).append(i)
-    if len(classes) in (0, n):  # no class of two or more vertices
+    units = _vertex_classes(d, tnorm, swappable)  # d_i = 0 leaves i single
+    if len(units) == n:  # no class of two or more vertices
         return sub_box(dc), tuple, lambda s: zip(sub_box(s), repeat(1))
-    units = list(classes.values())
     multiple = [cls for cls in units if len(cls) > 1]
     # a walk draws the values class by class; place puts them in vertex order
     order = list(chain.from_iterable(units))

@@ -75,13 +75,6 @@ class LunaType(_Record):
             raise ValueError("decomposition type needs at least one part")
         object.__setattr__(self, "parts", ordered)
 
-    @classmethod
-    def _canonical(cls, parts: tuple[tuple[DimVector, int], ...]) -> "LunaType":
-        """The type of parts already in canonical form, taken without a check."""
-        xi = object.__new__(cls)
-        object.__setattr__(xi, "parts", parts)
-        return xi
-
     @property
     def is_trivial(self) -> bool:
         return len(self.parts) == 1 and self.parts[0][1] == 1
@@ -228,7 +221,7 @@ def _walk(q: Quiver, d: DimVector, theta: Stability, max_box: int) -> tuple[list
                             f"more than the {MAX_LUNA_TYPES} allowed"
                         )
                     # distinct candidates in descending order: canonical already
-                    out.append((LunaType._canonical(parts + (pair,)), child, now))
+                    out.append((LunaType._trusted(parts + (pair,)), child, now))
 
     extend(0, sum(map(operator.lshift, d.coords, offsets)), (), (), 0)
     return candidates, out, links
@@ -272,8 +265,9 @@ def _local_quiver(gram, mults: tuple[int, ...]) -> tuple[Quiver, DimVector]:
             l = next(l for l, count in enumerate(counts) if count < 0)
             raise NegativeArrowCountError(k, l, counts[l])
         matrix.append(counts)
+    # int counts on distinct str names, none negative: what Quiver's checks ensure
     vertices = tuple(f"u{k + 1}" for k in range(len(matrix)))
-    return Quiver(vertices, tuple(matrix)), DimVector(mults)
+    return Quiver._trusted(vertices, tuple(matrix)), DimVector._trusted(mults)
 
 
 def local_quiver(
@@ -292,8 +286,8 @@ def local_quiver(
 
 
 def _nullcone_twice(q: Quiver, d: DimVector) -> int:
-    loop_term = sum((1 - q.arrows[i][i]) * d[i] for i in range(q.n))
-    return loop_term - q.euler_form(d, d) - 2 * d.total
+    loop_term = sum((1 - row[i]) * c for i, (row, c) in enumerate(zip(q.arrows, d.coords)))
+    return loop_term - q.euler_form(d, d) - 2 * sum(d.coords)
 
 
 def nullcone_dim_bound(q: Quiver, d: DimVector) -> Fraction:
@@ -430,18 +424,18 @@ def stratum_records(
     Every other type gets its local quiver, fibre bound and margin. No
     hypothesis of certify_smallness is checked here.
 
-    The types and their Gram keys come from the walk of luna_types (see
-    _walk). The local data depends only on the key, so it is computed once
-    per distinct key and its objects are shared by every record with that
-    key: each distinct local quiver is built, tested for symmetry, and
-    cross-checked once, its fibre bound against the nullcone bound of the
-    local quiver and its margin against fibre - codim / 2.
+    The types and Gram keys come from the walk of luna_types (see _walk).
+    The local data depends only on the key, so each local quiver is built,
+    tested for symmetry and cross-checked once per key and shared by its
+    records: its fibre bound against its nullcone bound, its margin against
+    fibre - codim / 2. Every object is built from these checked fields by
+    _Record._trusted, without its constructor's checks.
     """
     candidates, types, links = _walk(q, d, theta, max_box)
     dd = q.euler_form(d, d)
     weights = list(map(theta_prime, candidates))
     shared: list[tuple | None] = [None] * len(links)
-    records = []
+    records, record = [], StratumRecord._trusted
     for xi, node, chosen in types:
         data = shared[node]
         if data is None:
@@ -452,10 +446,8 @@ def stratum_records(
                 f"part {xi.parts[bad][0]} has negative expected stable moduli dimension "
                 f"({bad_dim})"
             )
-        ls = None if lq is None else Stability(tuple(map(weights.__getitem__, chosen)))
-        records.append(
-            StratumRecord(xi, reason is not None, reason, lq, ld, ls, fiber, codim, margin)
-        )
+        ls = None if lq is None else Stability._trusted(tuple(map(weights.__getitem__, chosen)))
+        records.append(record(xi, reason is not None, reason, lq, ld, ls, fiber, codim, margin))
     return tuple(records)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import importlib.util
+from fractions import Fraction
 import io
 import json
 import os
@@ -15,13 +16,16 @@ from hn_oracle import hn_problems
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pretty_oracle import pretty_text, record_json
+from strata_oracle import stratum_records_per_call
 
 import quivermoduli.cli as cli_module
 import quivermoduli.strata as strata_module
 from quivermoduli import (
     DimVector,
     InternalCheckError,
+    LunaType,
     Stability,
+    StratumRecord,
     generic_deformation,
     normalize_stability,
     stratum_records,
@@ -683,6 +687,54 @@ class TestRowWriter:
 
     def test_no_rows(self):
         _rows_match_record_json(())
+
+    # the rows of a key are rendered once; these cover every field of the key
+
+    @pytest.mark.parametrize("spec", ["levi_adjoint:4", "determinantal:3,2", "levi_adjoint:2,2,1"])
+    def test_catalog_rows_without_shared_pieces(self, spec):
+        # the oracle builds every field anew for every record, so no key repeats
+        q, d, theta, deformed = example_from_spec(spec)[2]
+        tnorm = normalize_stability(theta, d)
+        theta_prime = deformed if deformed is not None else generic_deformation(tnorm, d)
+        _rows_match_record_json(stratum_records_per_call(q, d, theta, theta_prime))
+
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(hn_problems(), st.data())
+    def test_random_rows_without_shared_pieces(self, problem, data):
+        q, d, theta = problem
+        theta_prime = Stability(data.draw(st.tuples(*[st.integers(-3, 3)] * len(d))))
+        _rows_match_record_json(stratum_records_per_call(q, d, theta, theta_prime))
+
+    def test_shared_objects_in_rows_that_differ(self):
+        # rows that share some objects and differ in one field each: a row
+        # cache whose key misses a field would repeat an earlier row's text
+        fiber, margin = Fraction(-1, 2), Fraction(-3, 2)
+        lq, ld = Quiver.from_matrix([[1, 2], [2, 0]]), DimVector((1, 1))
+        split = LunaType(((DimVector((1, 0)), 1), (DimVector((0, 1)), 1)))
+        whole = LunaType(((DimVector((1, 1)), 1),))
+        negative = "part (1, 0) has negative expected stable moduli dimension (-2)"
+        base = dict(
+            luna_type=split, filtered=False, reason=None, local_quiver=lq, local_dim=ld,
+            local_stability=Stability((1, -1)), fiber_bound=fiber, codim_bound=3, margin=margin,
+        )
+        changes = [
+            {},
+            {"codim_bound": 4},
+            {"filtered": True},
+            {"filtered": True, "reason": "local quiver is not symmetric"},
+            {"filtered": True, "reason": negative},
+            {"filtered": True, "reason": negative.replace("(-2)", "(-1)")},
+            {"luna_type": whole},
+            {"local_quiver": Quiver.from_matrix([[1, 3], [3, 0]])},
+            {"local_dim": DimVector((2, 1))},
+            {"fiber_bound": Fraction(-5, 2)},
+            {"margin": Fraction(-7, 2)},
+            {"local_quiver": None, "local_dim": None, "local_stability": None},
+            {"fiber_bound": None, "margin": None},
+        ]
+        records = tuple(StratumRecord(**{**base, **change}) for change in changes)
+        _rows_match_record_json(records)
+        _rows_match_record_json(records[::-1])
 
 
 class TestInternalCheckMidWalk:

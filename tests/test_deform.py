@@ -6,6 +6,7 @@ from deform_oracle import (
     deformation_by_cells,
     deformation_violations_by_cells,
     search_eta_by_enumeration,
+    search_eta_unsorted,
 )
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -231,11 +232,18 @@ def test_search_goes_past_sup_norm_six(coords):
     assert eta == search_eta_by_enumeration(d, critical, 7)
 
 
-def _eta_outcome(search, d, critical, max_norm):
+def _eta_outcome(search, *args):
     try:
-        return search(d, critical, max_norm)
+        return search(*args)
     except EtaSearchExhausted as exc:
         return ("exhausted", exc.bound)
+
+
+def _assert_searches_agree(d, theta, critical, max_norm):
+    # the package search, its walk over every head and the full enumeration
+    expected = _eta_outcome(search_eta_by_enumeration, d, critical, max_norm)
+    assert _eta_outcome(search_eta_unsorted, d, critical, max_norm) == expected
+    assert _eta_outcome(_search_eta, d, theta, critical, max_norm) == expected
 
 
 @st.composite
@@ -264,8 +272,39 @@ def test_solved_coordinate_matches_enumeration(problem):
     d, theta, max_norm = problem
     tnorm = normalize_stability(theta, d)
     critical = [e for e in box_iter(d) if not e.is_zero and e != d and tnorm(e) == 0]
-    expected = _eta_outcome(search_eta_by_enumeration, d, critical, max_norm)
-    assert _eta_outcome(_search_eta, d, critical, max_norm) == expected
+    _assert_searches_agree(d, tnorm, critical, max_norm)
+
+
+@st.composite
+def eta_problems_with_classes(draw):
+    """Indivisible d on 2-6 vertices with coordinates 0-2 and a stability
+    vanishing on d, drawn so that vertices repeat (d_i, theta_i): each vertex
+    copies an earlier one or is new. The classes may hold the last vertex
+    with d_i != 0, whose coordinate the search solves for, and vertices with
+    d_i = 0 repeat too. The sup-norm bound is 1-3."""
+    n = draw(st.integers(2, 6))
+    pairs: list[tuple[int, int]] = []
+    for _ in range(n):
+        if pairs and draw(st.booleans()):
+            pairs.append(pairs[draw(st.integers(0, len(pairs) - 1))])
+        else:
+            pairs.append((draw(st.integers(0, 2)), draw(st.integers(-3, 3))))
+    coords = tuple(c for c, _ in pairs)
+    assume(gcd(*coords) == 1)
+    theta = normalize_stability(Stability(tuple(w for _, w in pairs)), DimVector(coords))
+    return DimVector(coords), theta, draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(eta_problems_with_classes())
+# one class of four, the solved coordinate last in it (levi_adjoint(4) at theta = 0)
+@example((DimVector((1, 1, 1, 1)), Stability((0, 0, 0, 0)), 3))
+# a class of the solved coordinate with a d_i = 0 vertex after it
+@example((DimVector((2, 1, 2, 0, 0)), Stability((1, -4, 1, 0, 0)), 3))
+def test_class_sorted_search_matches_the_judges(problem):
+    d, theta, max_norm = problem
+    critical = [e for e in box_iter(d) if not e.is_zero and e != d and theta(e) == 0]
+    _assert_searches_agree(d, theta, critical, max_norm)
 
 
 @pytest.mark.parametrize(

@@ -51,6 +51,13 @@ PINS = [
     # digest recorded from the unpruned eta search, which needs about 69 s on this input
     ("deform --example levi_adjoint:8 --json", None, 0,
      "16dc0c5db6267f6eb543e5bd5d210a4fdd742e6d4077d179e718b359012f0ae7", 20),
+    # all vertices of levi_adjoint(l) are interchangeable, and the search walks only
+    # heads sorted within that class; digests recorded from the walk over every head,
+    # which took about 1.4 s on (9) and 6.5-9.6 s on (10)
+    ("deform --example levi_adjoint:9 --json", None, 0,
+     "63cda75c3d83f3dd7c9af9577725dc7a1e478ab2f059ad0e694bc85397202b36", 5),
+    ("deform --example levi_adjoint:10 --json", None, 0,
+     "7e005cf333ca9250a0ed837ae54a3552f0a15335923ebb2379082c8dca2e0c66", 5),
     # the deformation (r, -1) of d = (1, r) for r = 7 and 8: every eta vanishing on
     # (1, r) has sup-norm at least r; the search bound follows from d, and these calls
     # exited 2 under a fixed bound of 6; whole-output digests recorded when they

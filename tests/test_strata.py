@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import sys
 from fractions import Fraction
@@ -540,6 +542,43 @@ class TestLocalDataOncePerKey:
             if rec.local_quiver is not None
         }
         assert len(calls) == len(keys)
+
+
+class TestTrustedRecords:
+    """stratum_records builds its objects by _Record._trusted, without the
+    checks of their constructors; each must be the object those checks give."""
+
+    @staticmethod
+    def assert_as_checked(obj):
+        checked = type(obj)(*obj._fields())
+        assert checked == obj and hash(checked) == hash(obj)
+        assert list(map(type, checked._fields())) == list(map(type, obj._fields()))
+        for again in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+            assert type(again) is type(obj) and again == obj and hash(again) == hash(obj)
+
+    def assert_records_as_checked(self, records):
+        for rec in records:
+            self.assert_as_checked(rec)
+            self.assert_as_checked(rec.luna_type)
+            for obj in (rec.local_quiver, rec.local_dim, rec.local_stability):
+                if obj is not None:
+                    self.assert_as_checked(obj)
+
+    @settings(max_examples=80, derandomize=True, deadline=None)
+    @given(hn_problems(), st.data())
+    def test_random_problems(self, problem, data):
+        q, d, theta = problem
+        theta_prime = Stability(data.draw(st.tuples(*[st.integers(-3, 3)] * len(d))))
+        self.assert_records_as_checked(stratum_records(q, d, theta, theta_prime))
+
+    def test_repeated_parts_and_every_filter(self):
+        # multiplicities up to 4, and one type for each filter reason
+        q, d, theta, _ = example_from_spec("levi_adjoint:4,3,3")[2]
+        theta_prime = generic_deformation(normalize_stability(theta, d), d)
+        self.assert_records_as_checked(stratum_records(q, d, theta, theta_prime))
+        q = Quiver.from_matrix([[3, 2, 1, 2], [1, 0, 1, 0], [3, 2, 3, 3], [2, 2, 3, 2]])
+        d, theta = DimVector((0, 2, 0, 1)), Stability((0, 3, -2, 3))
+        self.assert_records_as_checked(stratum_records(q, d, theta, Stability((-9, 1, -15, -2))))
 
 
 def _candidates(d, theta):
