@@ -11,12 +11,11 @@ problem toric.
 
 from __future__ import annotations
 
-import operator
 from itertools import chain, repeat
 from math import gcd
 from typing import NamedTuple, Sequence
 
-from .core import DimVector, Quiver, Stability, _Record, check_box
+from .core import DimVector, Quiver, Stability, _integers, _Record, check_box
 from .strata import LunaType, local_quiver
 
 
@@ -35,7 +34,7 @@ def determinantal(m: int, r: int, *, max_box: int | None = None) -> QuiverSetup:
     BoxGuardExceeded before building anything when the box of the
     dimension vector has more than max_box cells.
     """
-    m, r = operator.index(m), operator.index(r)
+    m, r = _integers((m, r))
     if not 1 <= r <= m:
         raise ValueError("determinantal needs 1 <= r <= m")
     check_box((1, r), max_box)
@@ -56,7 +55,7 @@ def point_configurations(m: int, d: int, *, max_box: int | None = None) -> Quive
     (d^2 + d, d^2, ..., d^2, -(m d + 1)) breaking the symmetry at the
     first source. Needs m >= 1 and d >= 2.
     """
-    m, d = operator.index(m), operator.index(d)
+    m, d = _integers((m, d))
     if m < 1 or d < 2:
         raise ValueError("point_configurations needs m >= 1 and d >= 2")
     check_box(chain(repeat(1, m), (d,)), max_box)
@@ -83,14 +82,14 @@ def levi_adjoint(*dims: int, max_box: int | None = None) -> QuiverSetup:
     themselves; no deformed stability is attached then.
     """
     if len(dims) == 1:
-        l = operator.index(dims[0])
+        (l,) = _integers(dims)
         if l < 1:
             raise ValueError("levi_adjoint needs at least one vertex")
         check_box(repeat(1, l), max_box)
         coords = (1,) * l
         deformed = Stability((l - 1,) + (-1,) * (l - 1)) if l > 1 else Stability((0,))
     else:
-        coords = tuple(map(operator.index, dims))
+        coords = _integers(dims)
         if not coords or any(c < 1 for c in coords):
             raise ValueError("block sizes must be positive")
         check_box(coords, max_box)
@@ -115,8 +114,7 @@ def complete_bipartite(
     minus the total source dimension, which vanishes on the dimension
     vector. No preferred deformed stability.
     """
-    vs = tuple(map(operator.index, source_dims))
-    ws = tuple(map(operator.index, sink_dims))
+    vs, ws = _integers(source_dims), _integers(sink_dims)
     if not vs or not ws or any(c < 1 for c in vs + ws):
         raise ValueError("block dimensions must be positive")
     check_box(vs + ws, max_box)
@@ -143,7 +141,7 @@ def kronecker_general(m: int, n: int, *, max_box: int | None = None) -> QuiverSe
     The quotient is the variety of m x n matrices of rank at most one;
     trivial stability with deformed stability (1, -1).
     """
-    m, n = operator.index(m), operator.index(n)
+    m, n = _integers((m, n))
     if m < 0 or n < 0:
         raise ValueError("arrow counts must be nonnegative")
     check_box((1, 1), max_box)
@@ -152,7 +150,7 @@ def kronecker_general(m: int, n: int, *, max_box: int | None = None) -> QuiverSe
 
 
 def _bipartite_from_params(*params: int, max_box: int | None = None) -> QuiverSetup:
-    params = [operator.index(x) for x in params]
+    params = _integers(params)
     if len(params) < 2:
         raise ValueError("bipartite needs k,l followed by k + l block sizes")
     k, l = params[0], params[1]
@@ -190,7 +188,7 @@ def build_example(
     builder, doc = _family(family)
     for p in params:
         try:
-            operator.index(p)
+            _integers((p,))
         except TypeError:
             raise ValueError(f"example {family} parameters must be integers, got {p!r}") from None
     try:
@@ -274,10 +272,10 @@ class MarkedPartition(_Record):
     marked: int
 
     def __init__(self, parts: tuple[int, ...], marked: int):
-        parts = tuple(map(operator.index, parts))
+        parts = _integers(parts)
         if not parts or any(p < 1 for p in parts):
             raise ValueError("parts must be positive integers")
-        marked = operator.index(marked)
+        (marked,) = _integers((marked,))
         if not 0 <= marked < len(parts):
             raise ValueError("marked index out of range")
         object.__setattr__(self, "parts", parts)
@@ -322,7 +320,7 @@ def point_config_local_data(
     from the general decomposition-type construction, not from a closed
     form; see point_config_closed_form for the cross-check.
     """
-    m, d = operator.index(m), operator.index(d)
+    m, d = _integers((m, d))
     if m < 1 or d < 2:
         raise ValueError("needs m >= 1 and d >= 2")
     setup = point_configurations(m, d)
@@ -341,7 +339,7 @@ def point_config_closed_form(m: int, d: int, lam: MarkedPartition) -> dict:
     well: it is negative exactly when n > e, so it cannot be an arrow
     count in that regime, and the comparison flags match accordingly.
     """
-    m, d = operator.index(m), operator.index(d)
+    m, d = _integers((m, d))
     quiver, dim, stab = point_config_local_data(m, d, lam)
     g = gcd(d, m)
     e = d // g
@@ -400,7 +398,7 @@ def rank_one_smallness_report(m: int, n: int) -> RankOneSmallness:
     of dimension m - 1 while the matrix variety has dimension m + n - 1.
     The desingularization is small exactly when m <= n.
     """
-    m, n = operator.index(m), operator.index(n)
+    m, n = _integers((m, n))
     if m < 1 or n < 1:
         raise ValueError("needs m, n >= 1")
     fiber = m - 1

@@ -374,10 +374,11 @@ def cmd_dt(problem: ProblemSpec, max_box: int) -> dict:
 def cmd_ic(problem: ProblemSpec, max_box: int) -> dict:
     q, d, theta = problem.quiver, problem.dim_vector, problem.stability
     via_dt = ic_poincare_dt(q, d, theta, max_box)
+    rendered = poly_json(via_dt)
     payload = {
         "command": "ic",
-        "result": poly_json(via_dt),
-        "route_dt": poly_json(via_dt),
+        "result": rendered,
+        "route_dt": rendered,
         "route_resolution": None,
         "routes_agree": None,
         "assumed_nonempty": problem.assume_nonempty,

@@ -25,6 +25,14 @@ from .errors import BoxGuardExceeded, InternalCheckError, PreconditionError
 DEFAULT_MAX_BOX = 10**6
 
 
+def _integers(values) -> tuple[int, ...]:
+    """values by operator.index, refusing bool: True and False are not counts or coordinates."""
+    values = tuple(values)
+    if bool in map(type, values):
+        raise TypeError("'bool' object cannot be interpreted as an integer")
+    return tuple(map(operator.index, values))
+
+
 class _Record:
     """Immutable value whose fields are its __slots__, in order.
 
@@ -94,7 +102,7 @@ class DimVector(_Record):
     coords: tuple[int, ...]
 
     def __init__(self, coords: tuple[int, ...]):
-        coords = tuple(map(operator.index, coords))
+        coords = _integers(coords)
         if any(c < 0 for c in coords):
             raise ValueError(f"dimension vector must be nonnegative, got {coords}")
         object.__setattr__(self, "coords", coords)
@@ -147,7 +155,7 @@ class Stability(_Record):
     weights: tuple[int, ...]
 
     def __init__(self, weights: tuple[int, ...]):
-        object.__setattr__(self, "weights", tuple(map(operator.index, weights)))
+        object.__setattr__(self, "weights", _integers(weights))
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -197,7 +205,7 @@ class Quiver(_Record):
         vertices = tuple(vertices)
         if not all(isinstance(v, str) for v in vertices):
             raise TypeError("vertex names must be strings")
-        arrows = tuple(tuple(map(operator.index, row)) for row in arrows)
+        arrows = tuple(map(_integers, arrows))
         n = len(vertices)
         if len(set(vertices)) != n:
             raise ValueError("vertex names must be unique")
@@ -280,7 +288,8 @@ def _vertex_classes(d: DimVector, theta: Stability, also: Callable | None = None
 
     classes: dict[int, list[int]] = {}
     for i in range(len(dc)):
-        classes.setdefault(next((f for f in classes if same(f, i)), i), []).append(i)
+        first = next((f for f in classes if same(f, i)), i) if dc[i] else i
+        classes.setdefault(first, []).append(i)
     return list(classes.values())
 
 

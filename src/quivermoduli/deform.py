@@ -90,11 +90,20 @@ def _search_eta(d: DimVector, theta: Stability, critical: list, max_norm: int) -
     small and the output reproducible. critical is the set of proper nonzero
     e <= d with theta(e) = 0.
 
-    Each sup-norm is searched depth first, setting coordinates 0..n-1 in
-    turn. Only x_k, at the last index k with d_k != 0, is not enumerated:
-    eta(d) = 0 leaves x_k = -sum_{i<k} x_i d_i / d_k, kept when it is an
-    integer with |x_k| <= the sup-norm. Three tests cut a prefix with all
-    its extensions:
+    A vertex u with d_u = 0 adds nothing to eta(d), to a partial sum or to
+    eta(e) for a critical e <= d; only the sup-norm test reads x_u. Fix the
+    values on the support of d at sup-norm b: the valid values off it are
+    those with every |x_u| <= b and, unless the support reaches b, some
+    |x_u| = b. In the order above the first of them is 0 at every such
+    vertex but the last, u*, and 0 or +b at u*, so the first valid eta has
+    that tail. The walk sets only the support and u*, which tries 0 and
+    then +b; every other vertex stays 0.
+
+    Each sup-norm is searched depth first, setting the walked coordinates
+    in vertex order. Only x_k, at the last index k with d_k != 0, is not
+    enumerated: eta(d) = 0 leaves x_k = -sum_{i<k} x_i d_i / d_k, kept when
+    it is an integer with |x_k| <= the sup-norm. Three tests cut a prefix
+    with all its extensions:
     - a head x_0..x_j (j < k) whose partial sum |sum_{i<=j} x_i d_i|
       exceeds bound * (sum_{j<i<k} d_i + d_k) leaves no x_k in range;
     - each critical e is tested at the index i of its last nonzero
@@ -112,23 +121,25 @@ def _search_eta(d: DimVector, theta: Stability, critical: list, max_norm: int) -
     raises EtaSearchExhausted when none has sup-norm at most max_norm.
     """
     coords = d.coords
-    n = len(coords)
-    k = max(i for i, c in enumerate(coords) if c)
+    support = [i for i, c in enumerate(coords) if c]
+    k = support[-1]
     dk = coords[k]
-    # reach[j]: the largest |sum_{j<i<=k} x_i d_i| at sup-norm 1
-    reach = [sum(coords[j + 1 : k + 1]) for j in range(n)]
-    checks: list[list[tuple[int, ...]]] = [[] for _ in range(n)]
+    walked = sorted(support + [i for i, c in enumerate(coords) if not c][-1:])
+    # reach[i]: the largest |sum_{i<j<=k} x_j d_j| at sup-norm 1
+    reach = {i: sum(coords[i + 1 : k + 1]) for i in walked}
+    checks: dict[int, list[tuple[int, ...]]] = {i: [] for i in walked}
     for e in critical:
         last = max(i for i, c in enumerate(e.coords) if c)
         checks[last].append(e.coords[: last + 1])
     # prev[i]: the vertex before i in its class, whose place in values x_i starts from
     prev = {i: p for cls in _vertex_classes(d, theta) for p, i in zip(cls, cls[1:])}
-    eta = [0] * n
+    eta = [0] * len(coords)
 
-    def walk(i: int, partial: int, bound: int, values: list[int]) -> bool:
-        # partial = sum_{j<i} eta_j d_j
-        if i == n:
+    def walk(j: int, partial: int, bound: int, values: list[int]) -> bool:
+        # partial = sum_{i<walked[j]} eta_i d_i
+        if j == len(walked):
             return max(map(abs, eta)) == bound
+        i = walked[j]
         low = values.index(eta[prev[i]]) if i in prev else 0
         if i == k:
             xk, rest = divmod(-partial, dk)
@@ -136,7 +147,7 @@ def _search_eta(d: DimVector, theta: Stability, critical: list, max_norm: int) -
                 return False
             eta[k] = xk
             return all(sum(map(operator.mul, eta, e)) for e in checks[k]) and walk(
-                k + 1, 0, bound, values
+                j + 1, 0, bound, values
             )
         # eta(e) = v + x e_i for a critical e ending at i: x = -v / e_i is cut
         eta[i] = 0
@@ -145,12 +156,12 @@ def _search_eta(d: DimVector, theta: Stability, critical: list, max_norm: int) -
             v = sum(map(operator.mul, eta, e))
             if v % e[i] == 0:
                 cut.add(-v // e[i])
-        for x in values[low:]:
+        for x in values[low:] if coords[i] else (0, bound):
             nxt = partial + x * coords[i]
             if x in cut or (i < k and abs(nxt) > bound * reach[i]):
                 continue
             eta[i] = x
-            if walk(i + 1, nxt, bound, values):
+            if walk(j + 1, nxt, bound, values):
                 return True
         return False
 

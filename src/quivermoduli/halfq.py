@@ -11,7 +11,9 @@ Two layers over fractions.Fraction on an integer layer, all exact:
 
   - packed ints (``_pack``, ``_unpack``): a polynomial evaluated at a power
     of 2 (Kronecker substitution), so a product is one product of Python
-    ints. The HN recursion and the DT log of ``invariants`` run on them.
+    ints and a sum of shifted terms one pass of ``_packed_sum``. The HN
+    recursion and the DT log of ``invariants`` run on them, each at its own
+    width, and each decodes what it packs.
   - dense (valuation, coefficient list) pairs, into which ``_unpack``
     decodes each result once; ``invariants`` finishes them by list
     operations and one exact division (``_exact_quotient``) or one
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import index, sub
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 Scalar = Union[int, Fraction]
 
@@ -83,6 +85,8 @@ class HalfLaurent:
         clean: dict[int, Fraction] = {}
         if coeffs:
             for power, c in coeffs.items():
+                if isinstance(power, bool) or isinstance(c, bool):
+                    raise TypeError("a power or a coefficient cannot be a bool")
                 power = index(power)
                 if not isinstance(c, (int, Fraction)):
                     raise TypeError(f"a coefficient must be an int or a Fraction, not {type(c).__name__}")
@@ -226,13 +230,7 @@ class HalfLaurent:
                 else:
                     term = f"{coeff}*{base}"
             parts.append(term)
-        out = parts[0]
-        for term in parts[1:]:
-            if term.startswith("-"):
-                out += " - " + term[1:]
-            else:
-                out += " + " + term
-        return out
+        return parts[0] + "".join(f" - {t[1:]}" if t[0] == "-" else f" + {t}" for t in parts[1:])
 
     def __str__(self) -> str:
         return self.pretty()
@@ -312,10 +310,12 @@ def _exact_quotient(a: list[int], g: list[int]) -> list[int] | None:
 
 # ---------------------------------------------------------------------------
 # integer polynomials, packed (Kronecker substitution): the polynomial
-# sum_k c_k y^(low + k) in y = v^(-step) is kept as (low, x), where
+# sum_k c_k y^(low + k) in y = v^-1 is kept as (low, x), where
 # x = sum_k c_k 2^(width k) is its value at y = 2^width. That evaluation is a
 # ring map, so packed sums and products are exact whatever width is; a value
 # decodes uniquely when every |c_k| < 2^(width - 1). width is a multiple of 8.
+# A polynomial in v^2 packs in y = v^-2 instead, and _stretched(_, 2) reads
+# its decoded form back in v.
 
 
 def _bias(n: int, width: int) -> int:
@@ -331,8 +331,8 @@ def _pack(f: Dense, width: int) -> tuple[int, int]:
     return -(low + len(coeffs) - 1), int.from_bytes(raw, "big") - _bias(len(coeffs), width)
 
 
-def _unpack(low: int, x: int, width: int, step: int = 1) -> Dense:
-    """The dense form of a packed (low, x) in y = v^(-step).
+def _unpack(low: int, x: int, width: int) -> Dense:
+    """The dense form of a packed (low, x) in y = v^-1.
 
     Any int x decodes, into balanced digits c in [-2^(width - 1),
     2^(width - 1)), so packed coefficients in that range come back. With n =
@@ -342,10 +342,22 @@ def _unpack(low: int, x: int, width: int, step: int = 1) -> Dense:
     """
     size, half = width // 8, 1 << (width - 1)
     n = (abs(x).bit_length() + 1) // width + 1
-    # big-endian, so from the top digit, y^(low + n - 1), down: from the lowest power of v^step up
+    # big-endian, so from the top digit, y^(low + n - 1), down: from the lowest power of v up
     raw = (x + _bias(n, width)).to_bytes(n * size, "big")
     digits = [int.from_bytes(raw[k : k + size], "big") - half for k in range(0, len(raw), size)]
-    return _stretched(_trimmed(-low - n + 1, digits), step)
+    return _trimmed(-low - n + 1, digits)
+
+
+def _packed_sum(terms: Iterable, width: int, low: int = 0, acc: int = 0) -> tuple[int, int]:
+    """(low, acc) plus every packed term x y^at, given as (x, at), in one pass and with no
+    list of terms: a term below low shifts acc instead and lowers low to it."""
+    for x, at in terms:
+        if at >= low:
+            acc += x << width * (at - low)
+        else:
+            acc = (acc << width * (low - at)) + x
+            low = at
+    return low, acc
 
 
 def _cofactors(a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
@@ -451,11 +463,7 @@ class RatFunc:
         other = _as_ratfunc(other)
         if other is NotImplemented:
             return NotImplemented
-        return (
-            self.shift == other.shift
-            and self.num == other.num
-            and self.den == other.den
-        )
+        return (self.shift, self.num, self.den) == (other.shift, other.num, other.den)
 
     def __hash__(self):
         # a Laurent polynomial equals its HalfLaurent, so it hashes as that

@@ -7,17 +7,16 @@ logarithm, and the two independent routes to the intersection-cohomology
 Poincare polynomial. Both p and the DT invariants run in integer Laurent
 polynomials in v, Gaussian-normalized: the coefficient at e is kept
 multiplied by [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j)). No gcd is
-taken on the way. The integers take the two forms of halfq. Inside the
-two recursions each value is packed: its lowest power and one int, the
-polynomial at y = 2^width, in y = v^-2 for the HN recursion, whose powers
-are all even, and in y = v^-1 for the DT log, so a step is one product of
-ints. Evaluation at y is a ring map, so the sums are exact whatever the
-width; _widths fixes the width per call from l1-norm bounds (Fubini
-numbers), so that each result decodes exactly. Each result is decoded
-once, into a dense coefficient list, and finished there by list
-operations: p and each DT invariant by RatFunc._from_integers (one
-integer gcd of the packed num and den, see halfq), the Betti polynomial
-and the sign-twisted DT invariant by one exact division. Both recursions
+taken on the way. The integers take the two forms of halfq. Each
+recursion packs its values at its own width, which _widths fixes per call
+from l1-norm bounds (Fubini numbers): in y = v^-2 for the HN recursion,
+whose powers are all even, and in y = v^-1 for the DT log. A step is one
+product of ints, the steps of a cell are one _packed_sum, and each
+recursion decodes what it packs, once per result, into a dense coefficient
+list, finished there by list operations: p and each DT invariant by
+RatFunc._from_integers (one integer gcd of the packed num and den, see
+halfq), the Betti polynomial and the sign-twisted DT invariant by one
+exact division. Both recursions
 run over orbits: vertices that a swap leaves interchangeable give equal
 values on every cell of an orbit, so one canonical cell per orbit is
 computed, and a step stands for a whole orbit of pairs. The routes are
@@ -60,6 +59,7 @@ from .halfq import (
     _mobius,
     _one_minus,
     _pack,
+    _packed_sum,
     _stretched,
     _trimmed,
     _unpack,
@@ -171,12 +171,12 @@ def _orbits(
 
 def _hn_numerators(
     q: Quiver, d: DimVector, theta: Stability, max_box: int
-) -> tuple[dict[DimVector, tuple[int, int]], Callable, Callable]:
+) -> tuple[dict[tuple[int, ...], tuple[int, Dense]], Callable, Callable]:
     """Harder-Narasimhan recursion over the canonical cells of the box [0, d].
 
-    Returns G(e) = -[e]! p_e for every canonical nonzero e <= d (see
-    _orbits) with slope(e) = slope(d), packed in y = v^-2 at the width
-    _widths(|d|)[0], where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j));
+    Returns, keyed by the coordinates of every canonical nonzero e <= d
+    (see _orbits) with slope(e) = slope(d), the pair form(e, e) and the
+    dense G(e) = -[e]! p_e, where [e]! = prod_i prod_{j=1}^{e_i} (1 - v^(-2j));
     then the canon and walk of _orbits, which the DT log reuses.
     See p_poly for the sum and the recursion. G is constant on orbits, so a
     cell S steps once per orbit of its sub-box, weighted by the orbit's
@@ -184,12 +184,11 @@ def _hn_numerators(
     canonical cells in ascending lexicographic order finishes every canon
     T != S before S; only cells of slope at least slope(d) are needed.
 
-    Every power of G is even, so G is kept packed in y = v^-2 (see halfq):
-    (low, x), the power of its lowest digit and one int. A step is then
-    one product of ints, the orbit size times the row entries of
-    _binomials times x, moved by form(S - T, S) digits. Packing is a ring
-    map, so the sum is exact; the width of _widths bounds every
-    coefficient of G, so the one decode of each returned value is exact.
+    Every power of G is even, so G is packed in y = v^-2 (see halfq) at the
+    width _widths(|d|)[0], which bounds every coefficient of G. A step is
+    one product of ints, the orbit size times the row entries of _binomials
+    times G(T), moved by form(S - T, S) digits, and the steps of S are one
+    _packed_sum; each returned value is decoded once, exactly.
     """
     if d.is_zero:
         raise ValueError("zero dimension vector")
@@ -203,7 +202,7 @@ def _hn_numerators(
     cells, canon, walk = _orbits(euler, d, tnorm)
     # cells that may end a proper partial sum, with their packed G values
     sources = {(0,) * len(dc): (0, 1)}
-    numerators: dict[DimVector, tuple[int, int]] = {}
+    numerators: dict[tuple[int, ...], tuple[int, Dense]] = {}
     for s in islice(cells, 1, None):  # the first cell is 0
         weight = sum(map(mul, weights, s))
         # slope(s) > slope(d), in integers
@@ -213,24 +212,19 @@ def _hn_numerators(
             continue
         es = [sum(map(mul, row, s)) for row in euler]
         rows = [table[si] for si in s]
-        # sum_T w binom(S, T) G(T) y^(-t.es), whose lowest digit is at y^low
-        low = acc = 0
-        for t, w in walk(s):
-            g = sources.get(canon(t))
-            if g is not None:
-                term = prod(map(getitem, rows, t), start=w) * g[1]
-                at = g[0] - sum(map(mul, t, es))
-                if at >= low:
-                    acc += term << width * (at - low)
-                else:
-                    acc = (acc << width * (low - at)) + term
-                    low = at
+        # sum_T w binom(S, T) G(T) y^(-t.es)
+        terms = (
+            (prod(map(getitem, rows, t), start=w) * g[1], g[0] - sum(map(mul, t, es)))
+            for t, w in walk(s)
+            if (g := sources.get(canon(t))) is not None
+        )
+        low, acc = _packed_sum(terms, width)
         # G(S) is that sum times -y^form(S, S)
-        value = (low + sum(map(mul, s, es)), -acc)
+        form = sum(map(mul, s, es))
         if weight > 0:
-            sources[s] = value
+            sources[s] = (low + form, -acc)
         else:
-            numerators[DimVector(s)] = value
+            numerators[s] = form, _stretched(_unpack(low + form, -acc, width), 2)
     return numerators, canon, walk
 
 
@@ -275,7 +269,7 @@ def p_poly(
     and (k + 1)(k + 2) / 2 instead of 3^k on k interchangeable vertices of
     dimension 1.
     """
-    g = _unpack(*_hn_numerators(q, d, theta, max_box)[0][d], _widths(d.total)[0], 2)
+    g = _hn_numerators(q, d, theta, max_box)[0][d.coords][1]
     return -RatFunc._from_integers(g, _factorial(d, 0, (0, [1])))
 
 
@@ -303,7 +297,7 @@ def betti_coprime(
     if not is_coprime(tnorm, d, max_box):
         raise PreconditionError("stability not coprime for d")
     # (q - 1) p = (1 - v^2) G(d) / [d]!, one exact division
-    g = _unpack(*_hn_numerators(q, d, theta, max_box)[0][d], _widths(d.total)[0], 2)
+    g = _hn_numerators(q, d, theta, max_box)[0][d.coords][1]
     return _q_polynomial(_one_minus(g, 2), _factorial(d, 0, (0, [1])), "(q - 1) * p")
 
 
@@ -319,9 +313,9 @@ def dt_invariants(
     weight, the partial-sum condition is positivity for every such e.
 
     Every coefficient at e is kept multiplied by [e]! as an integer Laurent
-    polynomial in v, packed in v^-1 while the log runs (see _dt_logs), so
-    S_N(e) = -(-v)^(form(e,e)) G(e), and a product of series becomes a
-    convolution with Gaussian binomials: (AB)_N(e) = sum_{e1 + e2 = e}
+    polynomial in v (packed while the log runs, see _dt_logs), so S_N(e) =
+    -(-v)^(form(e,e)) G(e), and a product of series becomes a convolution
+    with Gaussian binomials: (AB)_N(e) = sum_{e1 + e2 = e}
     [e choose e1] A_N(e1) B_N(e2). The grading derivation t^e -> |e| t^e
     turns D S = S * D(log S) into
 
@@ -348,39 +342,33 @@ def _dt_logs(q: Quiver, theta: Stability, d: DimVector, max_box: int) -> tuple[d
     """M(e) of dt_invariants for every canonical slope-zero e <= d, keyed by
     e.coords, and the canon of _orbits.
 
-    S_N and M mix even and odd powers of v, so they are packed in y = v^-1,
-    at the width of _widths, which bounds every coefficient of M; the
-    binomials are the rows of _binomials at twice that width. Each G(e) is
-    decoded once and packed again at this width, each M(e) decoded at the end.
+    S_N and M mix even and odd powers of v, so they are packed in y = v^-1
+    at the width _widths(|d|)[1], which bounds every coefficient of M, with
+    the rows of _binomials at twice that width. Each G(e) is packed once,
+    the steps of each M(e) are one _packed_sum, and M(e) is decoded at the end.
     """
     tnorm = normalize_stability(theta, d)
     numerators, canon, walk = _hn_numerators(q, d, tnorm, max_box)
-    g_width, width = _widths(d.total)
+    width = _widths(d.total)[1]
     table = _binomials(max(d.coords), 2 * width)
     # S_N(e) = -(-v)^form(e,e) G(e)
     series: dict[tuple[int, ...], tuple[int, int]] = {}
-    for e, g in numerators.items():
-        form_ee = q.euler_form(e, e)
-        low, x = _pack(_unpack(*g, g_width, 2), width)
-        series[e.coords] = (low - form_ee, x if form_ee % 2 else -x)
+    for e, (form_ee, g) in numerators.items():
+        low, x = _pack(g, width)
+        series[e] = (low - form_ee, x if form_ee % 2 else -x)
+    del numerators  # the dense G, packed again: freed before the log runs
     # M(e), canonical cells in ascending lexicographic order, so every
     # canon e1 != e comes first; one weighted step per orbit, as in G
     logs: dict[tuple[int, ...], tuple[int, int]] = {}
     for s, (low, x) in series.items():
         rows = [table[si] for si in s]
-        acc = sum(s) * x
-        for t, w in walk(s):
-            m = logs.get(canon(t))
-            if m is not None:
-                rest = series[canon(tuple(map(sub, s, t)))]
-                term = prod(map(getitem, rows, t), start=w) * m[1] * rest[1]
-                at = m[0] + rest[0]
-                if at >= low:
-                    acc -= term << width * (at - low)
-                else:
-                    acc = (acc << width * (low - at)) - term
-                    low = at
-        logs[s] = (low, acc)
+        terms = (
+            (-prod(map(getitem, rows, t), start=w) * m[1] * rest[1], m[0] + rest[0])
+            for t, w in walk(s)
+            if (m := logs.get(canon(t))) is not None
+            for rest in (series[canon(tuple(map(sub, s, t)))],)
+        )
+        logs[s] = _packed_sum(terms, width, low, sum(s) * x)
     return {s: _unpack(*value, width) for s, value in logs.items()}, canon
 
 

@@ -37,6 +37,7 @@ from .core import (
     Quiver,
     Stability,
     _cell_weights,
+    _integers,
     _Record,
     check_box,
     normalize_stability,
@@ -61,7 +62,7 @@ class LunaType(_Record):
     def __init__(self, parts: tuple[tuple[DimVector, int], ...]):
         folded: dict[DimVector, int] = {}
         for part, mult in parts:
-            mult = operator.index(mult)
+            (mult,) = _integers((mult,))
             if mult < 1:
                 raise ValueError("multiplicities must be positive")
             if part.is_zero:

@@ -15,12 +15,14 @@ from quivermoduli import (
     BoxGuardExceeded,
     DeformationVerdict,
     DimVector,
+    HalfLaurent,
     LunaType,
     MarkedPartition,
     PreconditionError,
     Quiver,
     Stability,
     box_iter,
+    build_example,
     complete_bipartite,
     determinantal,
     eta_factorization,
@@ -30,6 +32,8 @@ from quivermoduli import (
     levi_adjoint,
     moduli_dim,
     normalize_stability,
+    point_config_closed_form,
+    point_config_local_data,
     point_configurations,
     rank_one_smallness_report,
     skew_rank,
@@ -622,6 +626,49 @@ class TestValueRefusals:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize(
+        "build, error",
+        [
+            pytest.param(lambda b: DimVector((b, 2)), TypeError, id="DimVector"),
+            pytest.param(lambda b: Stability((b, 1)), TypeError, id="Stability"),
+            pytest.param(lambda b: Quiver.from_matrix([[0, b], [1, 0]]), TypeError, id="Quiver"),
+            pytest.param(lambda b: HalfLaurent({b: 1}), TypeError, id="HalfLaurent-power"),
+            pytest.param(lambda b: HalfLaurent({1: b}), TypeError, id="HalfLaurent-coefficient"),
+            pytest.param(lambda b: LunaType(((DimVector((1, 1)), b),)), TypeError, id="LunaType"),
+            pytest.param(lambda b: MarkedPartition((b, 1), 0), TypeError, id="MarkedPartition-part"),
+            pytest.param(lambda b: MarkedPartition((2, 1), b), TypeError, id="MarkedPartition-marked"),
+            pytest.param(lambda b: determinantal(2, b), TypeError, id="determinantal"),
+            pytest.param(lambda b: point_configurations(b, 2), TypeError, id="point_configurations"),
+            pytest.param(lambda b: levi_adjoint(b), TypeError, id="levi_adjoint-torus"),
+            pytest.param(lambda b: levi_adjoint(2, b), TypeError, id="levi_adjoint-blocks"),
+            pytest.param(lambda b: complete_bipartite((1,), (b,)), TypeError, id="complete_bipartite"),
+            pytest.param(lambda b: kronecker_general(1, b), TypeError, id="kronecker_general"),
+            pytest.param(lambda b: rank_one_smallness_report(b, 2), TypeError, id="rank_one_report"),
+            pytest.param(
+                lambda b: point_config_local_data(2, b, MarkedPartition((1,), 0)),
+                TypeError,
+                id="point_config_local_data",
+            ),
+            pytest.param(
+                lambda b: point_config_closed_form(b, 2, MarkedPartition((1,), 0)),
+                TypeError,
+                id="point_config_closed_form",
+            ),
+            # build_example reports a parameter that is not an integer as ValueError
+            pytest.param(lambda b: build_example("levi_adjoint", [b]), ValueError, id="example"),
+            pytest.param(lambda b: build_example("bipartite", [1, 1, 2, b]), ValueError, id="bipartite"),
+        ],
+    )
+    def test_booleans_refused(self, build, error, flag):
+        # True is an int to operator.index, but no count, coordinate or power
+        with pytest.raises(error) as exc:
+            build(flag)
+        if error is TypeError:
+            assert "bool" in str(exc.value)
+        else:
+            assert str(exc.value).endswith(f"parameters must be integers, got {flag}")
 
     def test_eta_factorization_at_zero_stability(self):
         # at theta = 0 any eta satisfies the identity; the canonical one is 0

@@ -307,6 +307,35 @@ def test_class_sorted_search_matches_the_judges(problem):
     _assert_searches_agree(d, theta, critical, max_norm)
 
 
+@st.composite
+def eta_problems_with_unused_vertices(draw):
+    """A problem of eta_problems on at most 4 vertices with 1-3 vertices of
+    d_i = 0 and any theta_i inserted at random places, before the solved
+    coordinate too; the stability is normalized on d after the insertion."""
+    d, theta, max_norm = draw(eta_problems())
+    assume(len(d) <= 4)
+    coords, weights = list(d.coords), list(theta.weights)
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(coords)))
+        coords.insert(at, 0)
+        weights.insert(at, draw(st.integers(-3, 3)))
+    d = DimVector(tuple(coords))
+    return d, normalize_stability(Stability(tuple(weights)), d), max_norm
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(eta_problems_with_unused_vertices())
+# unused vertices before, between and after the support, and before it only
+@example((DimVector((0, 1, 0, 1, 0)), Stability((3, 0, -1, 0, 2)), 2))
+@example((DimVector((0, 0, 2, 1)), Stability((0, 0, 0, 0)), 3))
+# one used vertex: only eta = 0 vanishes on it, so the last unused vertex carries the norm
+@example((DimVector((0, 3, 0)), Stability((0, 0, 0)), 2))
+def test_unused_vertices_match_the_judges(problem):
+    d, theta, max_norm = problem
+    critical = [e for e in box_iter(d) if not e.is_zero and e != d and theta(e) == 0]
+    _assert_searches_agree(d, theta, critical, max_norm)
+
+
 @pytest.mark.parametrize(
     "call",
     [

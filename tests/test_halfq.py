@@ -328,9 +328,9 @@ class TestCofactors:
         # gcd at 2^8 decodes to a false common factor, and 16 bits certify gcd 1
         widths = []
 
-        def spy(low, x, width, step=1):
+        def spy(low, x, width):
             widths.append(width)
-            return unpack(low, x, width, step)
+            return unpack(low, x, width)
 
         unpack = halfq._unpack
         monkeypatch.setattr(halfq, "_unpack", spy)

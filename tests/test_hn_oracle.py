@@ -30,8 +30,8 @@ from quivermoduli import (
     symmetric_on_kernel,
 )
 from quivermoduli.core import DEFAULT_MAX_BOX, sub_box
-from quivermoduli.halfq import _dense, _unpack
-from quivermoduli.invariants import _dt_logs, _dt_value, _hn_numerators, _orbits, _widths
+from quivermoduli.halfq import _dense
+from quivermoduli.invariants import _dt_logs, _dt_value, _hn_numerators, _orbits
 
 
 def _laurent(f) -> HalfLaurent:
@@ -137,10 +137,9 @@ class TestOrbitCompression:
         tnorm = normalize_stability(theta, d)
         numerators, canon, _ = _hn_numerators(q, d, theta, DEFAULT_MAX_BOX)
         by_cells = hn_numerators_by_cells(q, d, theta)
-        assert set(numerators) == {DimVector(canon(e.coords)) for e in by_cells}
-        width = _widths(d.total)[0]
+        assert set(numerators) == {canon(e.coords) for e in by_cells}
         for e, g in by_cells.items():
-            assert _unpack(*numerators[DimVector(canon(e.coords))], width, 2) == _dense(g)
+            assert numerators[canon(e.coords)] == (q.euler_form(e, e), _dense(g))
         logs, canon = _dt_logs(q, theta, d, DEFAULT_MAX_BOX)
         logs_by_cells = dt_logs_by_cells(q, theta, d)
         assert set(logs) == {canon(e) for e in logs_by_cells}

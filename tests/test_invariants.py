@@ -368,7 +368,7 @@ class TestVCoordinateIdentities:
             for t in box_iter(s):
                 rest = s - t
                 packed = prod(table[si][ti] for si, ti in zip(s, t))
-                binom = _unpack(0, packed, 8, 2)
+                binom = _stretched(_unpack(0, packed, 8), 2)
                 # binom times [t]! times [s - t]!, each factor one list operation
                 product = _factorial(rest, 0, _factorial(t, 0, binom))
                 assert product == _factorial(s, 0, (0, [1])) == _dense(factorial_by_dicts(s)), (s, t)

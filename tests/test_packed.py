@@ -4,12 +4,13 @@ The HN recursion and the DT log keep every value as one int, the polynomial
 evaluated at 2^width, at a width fixed per call by _widths, and decode each
 result once into a dense (valuation, coefficient list) pair. The unit tests
 check packing and decoding at the edges of a digit against the
-digit-by-digit packing of hn_oracle and the dense form of the dict, and
-_factorial against the dict product; the width bound is checked on every
-cell of one problem. The properties compare the decoded values with the
-per-cell dict oracles of hn_oracle, both at the width of _widths and at the
-smallest width that holds the true values, where the largest coefficient of
-the call lies within a factor 2^8 of 2^(width - 1).
+digit-by-digit packing of hn_oracle and the dense form of the dict,
+_packed_sum against the sum of the dicts, and _factorial against the dict
+product; the width bound is checked on every cell of one problem. The
+properties compare the decoded values with the per-cell dict oracles of
+hn_oracle, both at the width of _widths and at the smallest width that
+holds the true values, where the largest coefficient of the call lies
+within a factor 2^8 of 2^(width - 1).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 from quivermoduli import DimVector, Quiver, Stability, box_iter, normalize_stability
 from quivermoduli import invariants
 from quivermoduli.core import DEFAULT_MAX_BOX
-from quivermoduli.halfq import _dense, _mul, _pack, _unpack
+from quivermoduli.halfq import _dense, _mul, _pack, _packed_sum, _stretched, _unpack
 from quivermoduli.invariants import _binomials, _factorial, _widths
 
 Q_A = Quiver.from_matrix([[0, 2, 1], [1, 0, 3], [2, 1, 0]])
@@ -49,7 +50,7 @@ class TestPacking:
     def _round_trip(self, l, width, step):
         # the digit-by-digit packing at any step decodes to the dense form of l
         want = _dense(l)
-        assert _unpack(*pack_by_dicts(l, width, step), width, step) == want
+        assert _stretched(_unpack(*pack_by_dicts(l, width, step), width), step) == want
         if step == 1:
             # _pack packs that dense form as the digits of its nonzero coefficients
             nonzero = {p: c for p, c in l.items() if c}
@@ -68,7 +69,7 @@ class TestPacking:
     def test_zero(self):
         for width in self.WIDTHS:
             assert _unpack(0, 0, width) == (0, [])
-            assert _unpack(-5, 0, width, 2) == (0, [])
+            assert _stretched(_unpack(-5, 0, width), 2) == (0, [])
             assert _unpack(*_pack((0, []), width), width) == (0, [])
             self._round_trip({}, width, 1)
             for step in (1, 2):
@@ -136,13 +137,38 @@ class TestPacking:
         (la, xa), (lb, xb) = _pack(_dense(a), width), _pack(_dense(b), width)
         assert _unpack(la + lb, xa * xb, width) == _dense(_mul(a, b))
 
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.lists(
+            st.dictionaries(st.integers(-12, 12), st.integers(-(10**6), 10**6), max_size=5),
+            min_size=1,
+            max_size=8,
+        ),
+        st.dictionaries(st.integers(-12, 12), st.integers(-(10**6), 10**6), max_size=5),
+        st.sampled_from(range(32, 88, 8)),
+    )
+    # one term; terms going up, then down, from a zero start and from a nonzero one
+    @example([{3: -7}], {}, 32)
+    @example([{-4: 1}, {0: 2, 1: -3}, {6: 5}], {}, 32)
+    @example([{6: 5}, {0: 2, 1: -3}, {-4: 1}], {2: 9, 3: -1}, 32)
+    def test_packed_sum_decodes_to_the_dense_sum(self, terms, start, width):
+        # every term is packed on its own, at its own lowest power; 9 values of
+        # at most 10^6 sum below 2^31, so width 32 decodes the sum
+        want: dict[int, int] = {}
+        for l in (start, *terms):
+            for p, c in l.items():
+                want[p] = want.get(p, 0) + c
+        packed = [_pack(_dense(l), width)[::-1] for l in terms]
+        got = _packed_sum(iter(packed), width, *_pack(_dense(start), width))
+        assert _unpack(*got, width) == _dense(want)
+
     def test_binomial_rows_decode_to_gaussian_binomials(self):
         # [4 choose 2] = 1 + v^-2 + 2 v^-4 + v^-6 + v^-8
         table = _binomials(6, 8)
-        assert _unpack(0, table[4][2], 8, 2) == _dense({0: 1, -2: 1, -4: 2, -6: 1, -8: 1})
+        assert _stretched(_unpack(0, table[4][2], 8), 2) == _dense({0: 1, -2: 1, -4: 2, -6: 1, -8: 1})
         for n, row in enumerate(table):
             for k, x in enumerate(row):
-                low, coeffs = _unpack(0, x, 8, 2)
+                low, coeffs = _stretched(_unpack(0, x, 8), 2)
                 assert sum(coeffs) == comb(n, k)
                 # palindromic, from v^(-2k(n - k)) to v^0
                 assert (low, low + len(coeffs) - 1) == (-2 * k * (n - k), 0)
@@ -241,9 +267,9 @@ def _check(q, d, theta, at_the_edge):
     with mock.patch.object(invariants, "_widths", lambda total: widths):
         got, canon, _ = invariants._hn_numerators(q, d, theta, DEFAULT_MAX_BOX)
         got_logs, _ = invariants._dt_logs(q, theta, d, DEFAULT_MAX_BOX)
-    assert set(got) == {DimVector(canon(e.coords)) for e in numerators}
+    assert set(got) == {canon(e.coords) for e in numerators}
     for e, g in numerators.items():
-        assert _unpack(*got[DimVector(canon(e.coords))], widths[0], 2) == _dense(g)
+        assert got[canon(e.coords)] == (q.euler_form(e, e), _dense(g))
     assert set(got_logs) == {canon(e) for e in logs}
     assert all(got_logs[canon(e)] == _dense(m) for e, m in logs.items())
     return numerators, logs

@@ -8,6 +8,7 @@ reason for the pin in a comment over its group.
 """
 
 import hashlib
+import json
 import subprocess
 
 import pytest
@@ -44,6 +45,25 @@ PROBLEMS = {
     "Q_N(1,2,2),(0,2,-2)": (
         '{"arrows": [[1,0,1],[2,0,2],[0,2,0]], "dimension": [1,2,2], "stability": [0,2,-2]}'
     ),
+    # T = [[0,1,1],[1,0,1],[1,1,0]] after vertices that d does not use
+    "0^4+T(3,4,5)": (
+        '{"arrows": [[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],[0,0,0,0,0,0,0],'
+        '[0,0,0,0,0,1,1],[0,0,0,0,1,0,1],[0,0,0,0,1,1,0]],'
+        ' "dimension": [0,0,0,0,3,4,5], "stability": [0,0,0,0,0,0,0]}'
+    ),
+    "0^3+T(6,7,8)": (
+        '{"arrows": [[0,0,0,0,0,0],[0,0,0,0,0,0],[0,0,0,0,0,0],'
+        '[0,0,0,0,1,1],[0,0,0,1,0,1],[0,0,0,1,1,0]],'
+        ' "dimension": [0,0,0,6,7,8], "stability": [0,0,0,0,0,0]}'
+    ),
+    # 1,100 vertices, one arrow each way between the first two, d = (1,1,0,...,0)
+    "wide(1,1,0^1098)": json.dumps(
+        {
+            "arrows": [[int({i, j} == {0, 1}) for j in range(1100)] for i in range(1100)],
+            "dimension": [1, 1] + [0] * 1098,
+            "stability": [0] * 1100,
+        }
+    ),
 }
 
 # (argv, name of the problem on stdin or None, exit code, sha256 of stdout, seconds)
@@ -58,6 +78,20 @@ PINS = [
      "63cda75c3d83f3dd7c9af9577725dc7a1e478ab2f059ad0e694bc85397202b36", 5),
     ("deform --example levi_adjoint:10 --json", None, 0,
      "7e005cf333ca9250a0ed837ae54a3552f0a15335923ebb2379082c8dca2e0c66", 5),
+    # vertices with d_i = 0 in front of T: the search walks only the support of d and
+    # the last vertex off it; digests recorded from the walk over every vertex, which
+    # took about 13 s on the first and 65 s on the second; the search on 1,100 vertices
+    # raised RecursionError there, and these digests come from it under a raised limit
+    ("deform - --json", "0^4+T(3,4,5)", 0,
+     "cce2198d05bb91129a790fabb9e4ecb0dc46d163ad23685396ccb799374ad1c9", 5),
+    ("deform - --json", "0^3+T(6,7,8)", 0,
+     "a40eeca56bfd95ead4cba99f5d25c7138d6175048322a4c4ee3bea5a6cd2712e", 5),
+    ("deform - --json", "wide(1,1,0^1098)", 0,
+     "cb6b5d787804bb42d4368f110c92aee6169dcdfd3f8501ca9ec66d99f765df66", 5),
+    ("strata - --json", "wide(1,1,0^1098)", 0,
+     "7f1e19cc19c139bb9cd3cd447714317380c1f2cd9dac22eb5670ec77aea89172", 5),
+    ("smallness - --json", "wide(1,1,0^1098)", 0,
+     "bbd31492d4acc0a87c49b2ffa1e6f3b82ff6bc1d7a1a0616a4e02e40190286d7", 5),
     # the deformation (r, -1) of d = (1, r) for r = 7 and 8: every eta vanishing on
     # (1, r) has sup-norm at least r; the search bound follows from d, and these calls
     # exited 2 under a fixed bound of 6; whole-output digests recorded when they
